@@ -202,11 +202,12 @@ def self_test():
                      and "latency_p50_us" not in report["metrics"]
                      and "latency_p99_us" not in report["metrics"]
                      and "latency_p50_us" in report["absent"]))
-    try:
-        gated = report is not None and not check_report(
-            report, "hw-service", 0, 0, EXPECTED)
-    except GateFailure:
-        gated = True
+    gated = False
+    if report is not None:
+        try:
+            check_report(report, "hw-service", 0, 0, EXPECTED)
+        except GateFailure:
+            gated = True
     outcomes.append(("all-shed soak reports no numbers", gated))
     for name, ok in outcomes:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -217,7 +218,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=2012)
-    parser.add_argument("--seconds", type=float, default=10)
+    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-test", action="store_true")
     # Self-test hooks.
