@@ -90,7 +90,7 @@ void BM_ModelCheckerRun(benchmark::State& state) {
     }
     kernel.start();
     while (!kernel.all_done()) {
-      const auto runnable = kernel.runnable_pids();
+      const std::vector<int>& runnable = kernel.runnable_set().pids();
       std::size_t pick = 0;
       if (runnable.size() > 1) {
         pick = static_cast<std::size_t>(master.draw(runnable.size()));

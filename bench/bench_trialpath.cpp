@@ -144,14 +144,19 @@ sim::LeRunResult run_seed_baseline_once(const sim::LeBuilder& builder, int n,
   }
   kernel.start();
   bool completed = true;
-  while (!kernel.all_done()) {  // seed: O(n) completion scan per step
+  for (;;) {
+    // Seed: every scheduling decision scanned all processes into a fresh
+    // runnable vector; an empty one ended the run.
+    std::vector<int> runnable;
+    runnable.reserve(static_cast<std::size_t>(k));
+    for (int pid = 0; pid < k; ++pid) {
+      if (kernel.runnable(pid)) runnable.push_back(pid);
+    }
+    if (runnable.empty()) break;
     if (kernel.total_steps() >= options.step_limit) {
       completed = false;
       break;
     }
-    // Seed: every scheduling decision materialized the runnable set into a
-    // fresh vector.
-    const std::vector<int> runnable = kernel.runnable_pids();
     benchmark::DoNotOptimize(runnable.data());
     seed_draw_limit_division(runnable.size());
     sim::KernelView view(kernel, adversary.clazz());

@@ -40,7 +40,7 @@ class GroupElectionNeutralizer {
   void reset() { rr_next_ = 0; }
 
   int pick() {
-    const auto runnable = kernel_->runnable_pids();
+    const std::vector<int>& runnable = kernel_->runnable_set().pids();
     RTS_ASSERT(!runnable.empty());
 
     // Rule 1: flush slot reads (the "am I elected" check) immediately.

@@ -82,6 +82,8 @@ std::unique_ptr<algo::ILeaderElect<HwPlatform>> make_hw_le(
       return std::make_unique<DivergeHwLe>(arena);
     case algo::AlgorithmId::kNativeAtomic:
       return nullptr;
+    case algo::AlgorithmId::kAbortableRace:
+      break;  // sim-only: the supports() check above rejects it
   }
   RTS_ASSERT_MSG(false, "unknown hardware algorithm id");
   return nullptr;

@@ -83,10 +83,6 @@ CoveringResult run_covering_argument(algo::AlgorithmId algorithm, int n,
   std::vector<int> rep_of_root(static_cast<std::size_t>(n));
   for (int pid = 0; pid < n; ++pid) rep_of_root[static_cast<std::size_t>(pid)] = pid;
 
-  const auto representative = [&](int pid) {
-    return rep_of_root[static_cast<std::size_t>(groups.find(pid))];
-  };
-
   // Claim 5.3 isolation check: during a Q-only run, reads must never see a
   // writer outside Q (the initial overwrites erase outside visibility).
   std::set<int> current_q;  // group roots of the running cohort

@@ -1,7 +1,5 @@
 #include "sim/adversary.hpp"
 
-#include <algorithm>
-
 #include "support/assert.hpp"
 
 namespace rts::sim {
@@ -21,13 +19,7 @@ const char* to_string(AdversaryClass clazz) {
 }
 
 KernelView::KernelView(const Kernel& kernel, AdversaryClass clazz)
-    : kernel_(&kernel),
-      clazz_(clazz),
-      runnable_(&kernel.runnable_pids_cached()) {}
-
-bool KernelView::is_runnable(int pid) const {
-  return std::binary_search(runnable_->begin(), runnable_->end(), pid);
-}
+    : kernel_(&kernel), clazz_(clazz) {}
 
 PendingOpView KernelView::pending(int pid) const {
   RTS_ASSERT(is_runnable(pid));

@@ -59,10 +59,14 @@ class KernelView {
 
   /// Pids with a pending operation, in pid order.  Every adversary class may
   /// use this: the standard convention for oblivious schedules is that steps
-  /// of finished processes are skipped.  Backed by the kernel's cached
-  /// runnable set, so constructing a view per step allocates nothing.
-  const std::vector<int>& runnable() const { return *runnable_; }
-  bool is_runnable(int pid) const;
+  /// of finished processes are skipped.  Backed by the kernel's runnable
+  /// set, so constructing a view per step allocates nothing.
+  const std::vector<int>& runnable() const {
+    return kernel_->runnable_set().pids();
+  }
+  bool is_runnable(int pid) const {
+    return kernel_->runnable_set().contains(pid);
+  }
 
   /// The class-filtered view of pid's pending op.  Precondition: runnable.
   PendingOpView pending(int pid) const;
@@ -73,7 +77,6 @@ class KernelView {
  private:
   const Kernel* kernel_;
   AdversaryClass clazz_;
-  const std::vector<int>* runnable_;
 };
 
 /// One scheduling decision.  kAbort flags a pid's abort request (an

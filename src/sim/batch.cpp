@@ -4,61 +4,11 @@
 #include <bit>
 #include <string>
 
+#include "sim/runnable_set.hpp"
 #include "sim/runner.hpp"
 #include "support/assert.hpp"
 
 namespace rts::sim {
-
-void BatchRunnableSet::assign_full(int k) {
-  RTS_ASSERT(k >= 1);
-  num_words_ = (k + 63) / 64;
-  words_.assign(static_cast<std::size_t>(num_words_), ~0ULL);
-  const int tail = k & 63;
-  if (tail != 0) {
-    words_[static_cast<std::size_t>(num_words_ - 1)] = (1ULL << tail) - 1;
-  }
-  count_ = k;
-  fenwick_.assign(static_cast<std::size_t>(num_words_) + 1, 0);
-  for (int w = 0; w < num_words_; ++w) {
-    fenwick_[static_cast<std::size_t>(w + 1)] +=
-        std::popcount(words_[static_cast<std::size_t>(w)]);
-    const int parent = (w + 1) + ((w + 1) & -(w + 1));
-    if (parent <= num_words_) {
-      fenwick_[static_cast<std::size_t>(parent)] +=
-          fenwick_[static_cast<std::size_t>(w + 1)];
-    }
-  }
-  fenwick_mask_ = 1;
-  while (fenwick_mask_ * 2 <= num_words_) fenwick_mask_ *= 2;
-}
-
-void BatchRunnableSet::remove(int pid) {
-  RTS_ASSERT(contains(pid));
-  const int w = pid >> 6;
-  words_[static_cast<std::size_t>(w)] &=
-      ~(1ULL << (static_cast<unsigned>(pid) & 63u));
-  for (int i = w + 1; i <= num_words_; i += i & -i) {
-    --fenwick_[static_cast<std::size_t>(i)];
-  }
-  --count_;
-}
-
-int BatchRunnableSet::select(int i) const {
-  RTS_ASSERT(i >= 0 && i < count_);
-  int pos = 0;  // number of Fenwick prefixes consumed (word count)
-  int rem = i;
-  for (int step = fenwick_mask_; step > 0; step >>= 1) {
-    const int next = pos + step;
-    if (next <= num_words_ &&
-        fenwick_[static_cast<std::size_t>(next)] <= rem) {
-      pos = next;
-      rem -= fenwick_[static_cast<std::size_t>(next)];
-    }
-  }
-  std::uint64_t word = words_[static_cast<std::size_t>(pos)];
-  while (rem-- > 0) word &= word - 1;  // drop the rem lowest set bits
-  return (pos << 6) + std::countr_zero(word);
-}
 
 namespace {
 
@@ -132,7 +82,7 @@ class BatchEngine final : public BatchStream {
  private:
   /// Rewinds every register row dirtied by the previous block to its
   /// freshly-built state (value 0, untouched) -- the batch analog of
-  /// SimMemory::reset_values, O(touched) instead of O(allocated).
+  /// SimMemory::reset_values, and likewise O(touched).
   void reset_bank() {
     const auto ln = static_cast<std::size_t>(lanes_);
     for (const std::uint32_t slot : dirty_slots_) {
@@ -170,8 +120,8 @@ class BatchEngine final : public BatchStream {
         break;
     }
     algo_->reset_trial(lane);
-    BatchRunnableSet& run = runnable_[static_cast<std::size_t>(lane)];
-    run.assign_full(k_);
+    RunnableSet& run = runnable_[static_cast<std::size_t>(lane)];
+    run.reset(k_);
     totals_[static_cast<std::size_t>(lane)] = 0;
     completed_[static_cast<std::size_t>(lane)] = 1;
     for (int pid = 0; pid < k_; ++pid) {
@@ -187,9 +137,9 @@ class BatchEngine final : public BatchStream {
       const BatchAction action = algo_->start(lane, pid, rngs_[idx]);
       if (action.kind == BatchAction::Kind::kFinish) {
         outcomes_[idx] = action.outcome;
-        run.remove(pid);
       } else {
         pending_[idx] = action;
+        run.push_back(pid);
       }
     }
   }
@@ -210,7 +160,7 @@ class BatchEngine final : public BatchStream {
   /// in exactly Kernel::run's order.
   void step_lane(int lane, std::uint64_t* active) {
     const std::uint64_t lane_bit = 1ULL << lane;
-    BatchRunnableSet& run = runnable_[static_cast<std::size_t>(lane)];
+    RunnableSet& run = runnable_[static_cast<std::size_t>(lane)];
     if (run.empty()) {
       *active &= ~lane_bit;
       return;
@@ -362,7 +312,7 @@ class BatchEngine final : public BatchStream {
   std::vector<BatchAction> pending_;
 
   // Per lane.
-  std::vector<BatchRunnableSet> runnable_;
+  std::vector<RunnableSet> runnable_;
   std::vector<LaneSched> scheds_;
   std::vector<std::uint64_t> totals_;
   std::vector<std::uint8_t> completed_;

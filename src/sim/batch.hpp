@@ -1,13 +1,12 @@
 // Batched structure-of-arrays trial engine: B same-cell trials in lockstep.
 //
 // The scalar trial path (sim::Kernel + fibers) advances one trial at a time
-// and pays, per step, a fiber round-trip plus a cached-runnable-set rebuild
-// whenever a process finishes (O(k) per finish, O(k^2) per trial).  The
-// batch engine removes both: algorithms run as explicit state machines (no
-// fibers), register values live in a flat structure-of-arrays bank (one
-// 64-bit lane per in-flight trial per register slot), and the runnable set
-// is a per-lane bitset with a Fenwick popcount index (O(log(k/64))
-// select/remove instead of O(k) rebuilds).  A per-lane active mask retires
+// and pays a fiber round-trip per step.  The batch engine removes it:
+// algorithms run as explicit state machines (no fibers), and register
+// values live in a flat structure-of-arrays bank (one 64-bit lane per
+// in-flight trial per register slot).  Each lane keeps the kernel's own
+// pid-ordered runnable set (sim/runnable_set.hpp: O(1) select, a finish
+// costs one sorted-vector erase).  A per-lane active mask retires
 // finished, crashed, and step-limit-starved trials without divergent
 // control flow in the pass loop.
 //
@@ -135,32 +134,5 @@ inline constexpr int kMaxBatchLanes = 64;  // one bit per lane in the bank mask
 /// <= min(lanes, 64).
 std::unique_ptr<BatchStream> make_batch_stream(
     std::unique_ptr<BatchAlgorithm> algorithm, const BatchConfig& config);
-
-/// Pid-ordered runnable set over [0, k): a bitset with a Fenwick popcount
-/// index, giving O(log(k/64)) select-ith-smallest and remove -- the batch
-/// replacement for the kernel's O(k) cached-runnable rebuild.  Exposed for
-/// the property tests.
-class BatchRunnableSet {
- public:
-  void assign_full(int k);  // all of 0..k-1 runnable
-  void remove(int pid);
-  bool contains(int pid) const {
-    return (words_[static_cast<std::size_t>(pid >> 6)] >>
-            (static_cast<unsigned>(pid) & 63u)) &
-           1u;
-  }
-  int count() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  /// The i-th smallest runnable pid (0-indexed); requires i < count().
-  int select(int i) const;
-  int first() const { return select(0); }
-
- private:
-  std::vector<std::uint64_t> words_;
-  std::vector<std::int32_t> fenwick_;  // 1-based, over word popcounts
-  int num_words_ = 0;
-  int fenwick_mask_ = 0;  // highest power of two <= num_words_
-  int count_ = 0;
-};
 
 }  // namespace rts::sim

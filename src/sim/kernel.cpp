@@ -33,8 +33,12 @@ void Kernel::start() {
     rmr_.configure(options_.rmr_model, num_processes());
     memory_.set_rmr_counter(&rmr_);
   }
-  for (auto& proc : processes_) proc->start();
-  runnable_dirty_ = true;
+  // Prologues run in pid order, so the set fills in ascending order.
+  runnable_.reset(num_processes());
+  for (auto& proc : processes_) {
+    proc->start();
+    if (proc->runnable()) runnable_.push_back(proc->pid());
+  }
 }
 
 void Kernel::rewind() {
@@ -45,43 +49,12 @@ void Kernel::rewind() {
   memory_.reset_values();
   rmr_.reset();
   for (auto& proc : processes_) proc->rewind();
-  runnable_dirty_ = true;
+  runnable_.reset(num_processes());
 }
 
 const SimProcess& Kernel::process(int pid) const {
   RTS_ASSERT(pid >= 0 && pid < num_processes());
   return *processes_[pid];
-}
-
-std::vector<int> Kernel::runnable_pids() const {
-  std::vector<int> out;
-  out.reserve(processes_.size());
-  for (const auto& proc : processes_) {
-    if (proc->runnable()) out.push_back(proc->pid());
-  }
-  return out;
-}
-
-const std::vector<int>& Kernel::runnable_pids_cached() const {
-  if (runnable_dirty_) {
-    runnable_cache_.clear();
-    runnable_cache_.reserve(processes_.size());
-    for (const auto& proc : processes_) {
-      if (proc->runnable()) runnable_cache_.push_back(proc->pid());
-    }
-    runnable_dirty_ = false;
-  }
-  return runnable_cache_;
-}
-
-bool Kernel::all_done() const {
-  for (const auto& proc : processes_) {
-    if (proc->state() == SimProcess::State::kReady ||
-        proc->state() == SimProcess::State::kUnstarted) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void Kernel::grant(int pid) {
@@ -121,7 +94,7 @@ void Kernel::grant(int pid) {
   proc.resume_with_result(result);
   // A granted process either announced again (still runnable) or finished;
   // only the latter changes the runnable set.
-  if (proc.state() != SimProcess::State::kReady) runnable_dirty_ = true;
+  if (!proc.runnable()) runnable_.remove(pid);
 }
 
 void Kernel::crash(int pid) {
@@ -130,8 +103,9 @@ void Kernel::crash(int pid) {
   RTS_ASSERT_MSG(proc.state() == SimProcess::State::kReady ||
                      proc.state() == SimProcess::State::kUnstarted,
                  "crash of a process that already finished or crashed");
+  // A pre-start crash hits an unstarted process, which is not in the set.
+  if (proc.runnable()) runnable_.remove(pid);
   proc.crash();
-  runnable_dirty_ = true;
 }
 
 void Kernel::abort_request(int pid) {
@@ -152,9 +126,7 @@ void Kernel::abort_request(int pid) {
 bool Kernel::run(Adversary& adversary) {
   if (!started_) start();
   const AdversaryClass clazz = adversary.clazz();  // hoisted virtual call
-  // Post-start() no process is kUnstarted, so "all done" is exactly "the
-  // runnable set is empty" -- and the cached set makes that O(1) per step.
-  while (!runnable_pids_cached().empty()) {
+  while (!runnable_.empty()) {
     if (total_steps_ >= options_.step_limit) return false;
     KernelView view(*this, clazz);
     const Action action = adversary.next(view);

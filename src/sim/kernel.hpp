@@ -17,6 +17,7 @@
 #include "rmr/model.hpp"
 #include "sim/memory.hpp"
 #include "sim/process.hpp"
+#include "sim/runnable_set.hpp"
 #include "sim/types.hpp"
 
 namespace rts::sim {
@@ -70,15 +71,14 @@ class Kernel {
   std::uint64_t stage(int pid) const { return process(pid).stage(); }
   std::uint64_t steps(int pid) const { return process(pid).steps(); }
 
-  /// All pids currently announcing a pending op, in pid order.
-  std::vector<int> runnable_pids() const;
-  /// Allocation-free variant for the per-step scheduling loop: a cached
-  /// pid-ordered runnable set, rebuilt only when membership can have changed
-  /// (a process finished, crashed, started, or the kernel rewound) rather
-  /// than on every step.  Invalidated by any kernel mutation; do not hold
-  /// the reference across grant()/crash().
-  const std::vector<int>& runnable_pids_cached() const;
-  bool all_done() const;
+  /// The pids currently announcing a pending op, in pid order.  Maintained
+  /// incrementally: start() fills it, and a pid leaves it when grant() sees
+  /// its process finish or crash() hits it -- so no scheduling decision
+  /// pays for a rebuild.  Do not hold a pids() reference across
+  /// grant()/crash()/rewind().
+  const RunnableSet& runnable_set() const { return runnable_; }
+  /// True once start() has run and every process finished or crashed.
+  bool all_done() const { return started_ && runnable_.empty(); }
 
   /// Executes pid's pending op and resumes it until the next announcement or
   /// completion.  Precondition: runnable(pid).
@@ -125,8 +125,7 @@ class Kernel {
   int abort_requests_ = 0;
   std::function<void(const OpRecord&)> op_observer_;
   std::vector<OpRecord> event_log_;
-  mutable std::vector<int> runnable_cache_;
-  mutable bool runnable_dirty_ = true;
+  RunnableSet runnable_;
 };
 
 }  // namespace rts::sim

@@ -24,13 +24,15 @@ RegId SimMemory::alloc(std::string_view name) {
 }
 
 void SimMemory::reset_values() {
-  for (RegSlot& slot : slots_) {
+  // Only a read or write dirties a slot, and each records its first touch.
+  for (const RegId reg : touched_slots_) {
+    RegSlot& slot = slots_[reg];
     slot.value = 0;
     slot.last_writer = -1;
     slot.reads = 0;
     slot.writes = 0;
   }
-  touched_ = 0;
+  touched_slots_.clear();
   total_reads_ = 0;
   total_writes_ = 0;
 }

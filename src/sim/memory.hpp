@@ -43,6 +43,7 @@ class SimMemory {
   /// visible writer, zero traffic -- while keeping the slots, their interned
   /// names, and the allocation count.  A pooled workspace calls this between
   /// trials so a reused layout is indistinguishable from a fresh build.
+  /// O(touched): only the slots touched since the last reset are rewritten.
   void reset_values();
 
   // read/write are the innermost simulated-step operations (one of the two
@@ -58,7 +59,7 @@ class SimMemory {
   /// Number of registers with at least one read or write.  Maintained
   /// incrementally (first touch of a slot), so per-trial space accounting
   /// costs O(1) instead of a scan over every allocated slot.
-  std::size_t touched() const { return touched_; }
+  std::size_t touched() const { return touched_slots_.size(); }
   std::uint64_t total_reads() const { return total_reads_; }
   std::uint64_t total_writes() const { return total_writes_; }
 
@@ -83,7 +84,7 @@ class SimMemory {
   std::vector<RegSlot> slots_;
   std::deque<std::string> name_pool_;  // stable storage behind the views
   std::unordered_set<std::string_view> interned_;
-  std::size_t touched_ = 0;
+  std::vector<RegId> touched_slots_;  // touched since the last reset
   std::uint64_t total_reads_ = 0;
   std::uint64_t total_writes_ = 0;
   rmr::RmrCounter* rmr_ = nullptr;  // not owned; null = no RMR accounting
@@ -92,7 +93,7 @@ class SimMemory {
 inline std::uint64_t SimMemory::read(RegId reg, int pid) {
   RTS_ASSERT(reg < slots_.size());
   RegSlot& slot = slots_[reg];
-  if (slot.reads == 0 && slot.writes == 0) ++touched_;
+  if (slot.reads == 0 && slot.writes == 0) touched_slots_.push_back(reg);
   ++slot.reads;
   ++total_reads_;
   if (rmr_ != nullptr) rmr_->on_read(pid, reg);
@@ -102,7 +103,7 @@ inline std::uint64_t SimMemory::read(RegId reg, int pid) {
 inline void SimMemory::write(RegId reg, std::uint64_t value, int pid) {
   RTS_ASSERT(reg < slots_.size());
   RegSlot& slot = slots_[reg];
-  if (slot.reads == 0 && slot.writes == 0) ++touched_;
+  if (slot.reads == 0 && slot.writes == 0) touched_slots_.push_back(reg);
   slot.value = value;
   slot.last_writer = pid;
   ++slot.writes;

@@ -35,7 +35,7 @@ SingleRunOutcome run_one(
       out.truncated = true;
       break;
     }
-    const auto runnable = kernel.runnable_pids();
+    const std::vector<int>& runnable = kernel.runnable_set().pids();
     RTS_ASSERT(!runnable.empty());
     std::size_t pick = 0;
     if (runnable.size() > 1) {

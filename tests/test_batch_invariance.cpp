@@ -6,7 +6,8 @@
 // byte-compare the checkpoint codec serialization of both paths across the
 // eligible catalogue (including crashing schedules and step-limit-starved
 // lanes), check that ineligible pairs refuse a stream, and property-test
-// the SoA bank reset and the Fenwick-indexed runnable set.
+// the SoA bank reset.  The runnable set the engine shares with the scalar
+// kernel is tested in tests/test_runnable_set.cpp.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -22,7 +23,6 @@
 #include "rmr/model.hpp"
 #include "sim/batch.hpp"
 #include "sim/runner.hpp"
-#include "support/rng.hpp"
 
 namespace rts {
 namespace {
@@ -149,8 +149,8 @@ TEST(BatchInvariance, LaneCountNeverChangesResults) {
 }
 
 TEST(BatchInvariance, WideCellsCrossTheRunnableWordBoundary) {
-  // k > 64 exercises the multi-word bitset + Fenwick select in the lane
-  // scheduler; crash cells retire pids from the middle of both words.
+  // k > 64 exercises the multi-word membership bitmap of the lane's
+  // runnable set; crash cells retire pids from the middle of both words.
   for (const algo::AdversaryId adversary :
        {algo::AdversaryId::kUniformRandom, algo::AdversaryId::kCrashAfterOps,
         algo::AdversaryId::kRoundRobin}) {
@@ -321,37 +321,6 @@ TEST(BatchInvariance, CampaignBatchKnobNeverChangesReporterBytes) {
       EXPECT_EQ(jsonl, reference_jsonl) << "sim_batch_lanes=" << lanes;
       EXPECT_EQ(csv, reference_csv) << "sim_batch_lanes=" << lanes;
     }
-  }
-}
-
-TEST(BatchRunnableSet, MatchesAReferenceSetUnderRandomRemovals) {
-  support::PrngSource rng(0x5e7ec7ULL);
-  for (const int k : {1, 2, 63, 64, 65, 200}) {
-    sim::BatchRunnableSet set;
-    set.assign_full(k);
-    std::vector<int> reference(static_cast<std::size_t>(k));
-    for (int pid = 0; pid < k; ++pid) {
-      reference[static_cast<std::size_t>(pid)] = pid;
-    }
-    while (!reference.empty()) {
-      ASSERT_EQ(set.count(), static_cast<int>(reference.size()));
-      ASSERT_FALSE(set.empty());
-      ASSERT_EQ(set.first(), reference.front());
-      for (int i = 0; i < static_cast<int>(reference.size()); ++i) {
-        ASSERT_EQ(set.select(i), reference[static_cast<std::size_t>(i)])
-            << "k=" << k;
-      }
-      const auto victim = static_cast<std::size_t>(rng.draw(reference.size()));
-      ASSERT_TRUE(set.contains(reference[victim]));
-      set.remove(reference[victim]);
-      ASSERT_FALSE(set.contains(reference[victim]));
-      reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(victim));
-    }
-    ASSERT_TRUE(set.empty());
-    // Reusable: assign_full restores the freshly-built state.
-    set.assign_full(k);
-    ASSERT_EQ(set.count(), k);
-    ASSERT_EQ(set.first(), 0);
   }
 }
 

@@ -208,7 +208,9 @@ TEST(RatRace, WonSplitterIsTrackedForCombiner) {
   ASSERT_TRUE(harness.run(adversary));
   // The winner must have won some splitter on its way.
   for (int p = 0; p < k; ++p) {
-    if (out[p] == Outcome::kWin) EXPECT_TRUE(rr->won_splitter(p));
+    if (out[p] == Outcome::kWin) {
+      EXPECT_TRUE(rr->won_splitter(p));
+    }
   }
 }
 

@@ -342,17 +342,19 @@ TEST(WatchdogStress, RepeatedConstructCancelDestruct) {
   // down while the watchdog has just fired.  ASan/UBSan in CI turns any
   // watchdog-after-free or cancel-vs-parking race into a hard failure.
   // A delay fault makes the timeout deterministic: every participant
-  // sleeps 2ms before its *first* shared op, the 0.2ms deadline fires
+  // sleeps 50ms before its *first* shared op, the 0.2ms deadline fires
   // mid-sleep, and the first op observes the cancel flag and unwinds (a
   // stall would land at a random op index the election may never reach).
-  const auto plan = fault::FaultPlan::parse("delay:p=1,us=2000", nullptr);
+  // The ~50ms margin is far beyond any wake-up delay of the watchdog
+  // thread, even under a fully loaded parallel test run.
+  const auto plan = fault::FaultPlan::parse("delay:p=1,us=50000", nullptr);
   ASSERT_TRUE(plan.has_value());
   for (int i = 0; i < 20; ++i) {
     hw::HwTrialPool pool(2);
     const fault::TrialFaults faults =
         plan->for_trial(static_cast<std::uint64_t>(i) + 1, 2);
     hw::HwRunOptions options;
-    options.deadline_ns = 200'000;  // 0.2ms deadline vs 2ms stalls
+    options.deadline_ns = 200'000;  // 0.2ms deadline vs 50ms delays
     options.faults = &faults;
     const hw::HwRunResult run = pool.run(algo::AlgorithmId::kTournament, 2,
                                          static_cast<std::uint64_t>(i), options);
