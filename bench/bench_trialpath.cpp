@@ -10,13 +10,13 @@
 //
 // The --bench document records trials/sec for every path -- the
 // reconstructed seed baseline, today's fresh-kernel path, the pooled
-// workspace, and the batched SoA lockstep kernel (algo/batch.hpp; every
-// paper-le cell is batch-eligible) -- plus the speedups, so BENCH_*.json
-// trajectory tracking covers the trial hot path itself alongside the
-// campaign-level numbers rts_bench --bench emits.  The writer also
-// cross-checks pooled- and batched-vs-fresh trial summaries and fails
-// loudly on any divergence -- a perf number from a wrong result is worse
-// than no number.
+// workspace, and the fiberless step-machine engine the executor runs
+// eligible cells on (algo/batch.hpp; every paper-le cell is eligible) --
+// plus the speedups, so BENCH_*.json trajectory tracking covers the trial
+// hot path itself alongside the campaign-level numbers rts_bench --bench
+// emits.  The writer also cross-checks pooled- and batched-vs-fresh trial
+// summaries and fails loudly on any divergence -- a perf number from a
+// wrong result is worse than no number.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -67,10 +67,10 @@ sim::Kernel::Options kernel_options_of(const campaign::CellSpec& cell) {
   return options;
 }
 
-/// Lane width for the batched SoA path: wide enough to amortize the bank
-/// reset, well under kMaxBatchLanes so the partial-final-block case still
-/// appears at paper-le's 150 trials/cell.
-constexpr int kBatchLanes = 32;
+/// Lane width for the batched path: one trial per block, the width the
+/// campaign executor runs eligible cells at.  Wider lockstep blocks were
+/// never faster than one lane on paper-le.
+constexpr int kBatchLanes = 1;
 
 bool batch_eligible(const campaign::CellSpec& cell) {
   return algo::batch_supported(cell.algorithm) &&
@@ -258,7 +258,7 @@ struct CellThroughput {
   double seed_tps = 0.0;    // reconstructed seed fresh-kernel path
   double fresh_tps = 0.0;   // today's fresh-kernel path
   double pooled_tps = 0.0;
-  double batched_tps = 0.0;  // SoA lockstep path; 0 = cell ineligible
+  double batched_tps = 0.0;  // step-machine path; 0 = cell ineligible
 };
 
 /// Summaries must match field-for-field; the bench refuses to report a
@@ -400,7 +400,7 @@ bool write_trialpath_bench(const std::string& dir, int trials) {
       batched_cells > 0 ? batched_cells / batched_sum : 0.0;
   // The headline speedup is pooled-vs-seed: what the hot-path rework bought
   // over the baseline it replaced.  pooled-vs-fresh isolates the workspace
-  // pooling alone; batched-vs-pooled isolates the SoA lockstep kernel on
+  // pooling alone; batched-vs-pooled isolates the step-machine engine on
   // the eligible cells (all of paper-le qualifies: uniform-random schedules
   // over batch-supported algorithms).
   const double speedup = pooled_tps / seed_tps;

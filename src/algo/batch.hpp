@@ -15,8 +15,9 @@
 //     and crash qualify; the adaptive neutralizer, abort injection, and
 //     trace replay do not.
 //
-// make_batch_stream() returns nullptr for any ineligible pair; callers fall
-// back to the scalar path (the campaign executor does exactly that).
+// The campaign executor runs every eligible cell on these machines by
+// default.  make_batch_stream() returns nullptr for any ineligible pair;
+// callers fall back to the fiber kernel (the executor does exactly that).
 #pragma once
 
 #include <cstdint>

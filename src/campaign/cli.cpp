@@ -107,10 +107,6 @@ void print_usage(std::FILE* out) {
                "  --backend B[,B...] execution backends: sim | hw "
                "(overrides preset)\n"
                "  --workers N       worker threads (0 = hardware, default 1)\n"
-               "  --batch N         batched SoA fast path: run eligible sim\n"
-               "                    cells' trials in lockstep blocks of N\n"
-               "                    lanes (1-64; bitwise-identical output,\n"
-               "                    see docs/ARCHITECTURE.md; default off)\n"
                "  --trials N        override trials per cell\n"
                "  --seed S          override campaign seed\n"
                "  --ks K[,K...]     override the contention sweep\n"
@@ -246,7 +242,6 @@ struct CliArgs {
   std::optional<std::uint64_t> seed;
   std::optional<std::uint64_t> step_limit;
   int workers = 1;
-  int batch = 0;  // 0 = scalar kernel; > 0 = SoA lanes for eligible cells
   double time_budget = 0.0;
   ReportFormat format = ReportFormat::kTable;
   std::string json_path;
@@ -373,11 +368,6 @@ std::optional<CliArgs> parse_args(int argc, char** argv) {
       const auto parsed = parse_integer_flag("--workers", value, 0, 4096);
       if (!parsed) return std::nullopt;
       args.workers = static_cast<int>(*parsed);
-    } else if (arg == "--batch") {
-      if ((value = need_value(i, "--batch")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag("--batch", value, 0, 64);
-      if (!parsed) return std::nullopt;
-      args.batch = static_cast<int>(*parsed);
     } else if (arg == "--time-budget") {
       if ((value = need_value(i, "--time-budget")) == nullptr) {
         return std::nullopt;
@@ -1079,7 +1069,6 @@ int run_cli(int argc, char** argv) {
 
     ExecutorOptions options;
     options.workers = args.workers;
-    options.sim_batch_lanes = args.batch;
     options.time_budget_seconds = args.time_budget;
     options.hw_pin_cpus = args.pin_cpus;
     // Traces live in a per-campaign subdirectory, so several presets can

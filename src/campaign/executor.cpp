@@ -240,16 +240,16 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   // Per-cell trial runners, built once and shared read-only by all workers.
   // Sim cells drive trials through the calling worker's pooled
   // exec::TrialWorkspace (keyed by cell index), so the kernel, fibers, and
-  // register layout are built once per (worker, cell) and rewound between
-  // trials instead of reconstructed.  Hardware cells take the shared hw
-  // mutex so at most one hw election -- with its k real threads -- is in
-  // flight at a time, keeping measured thread counts honest while sim cells
-  // keep running concurrently; the current hw cell parks a persistent
-  // HwTrialPool of k participant threads reused across its trials, with
-  // the cell's step limit armed as the divergence watchdog.  One pool
-  // lives at a time -- trials claim cells essentially in order, so this
-  // reuses threads within a cell without accumulating parked threads
-  // across the whole hw grid.
+  // register layout -- or the cell's batch stream -- are built once per
+  // (worker, cell) and rewound between trials instead of reconstructed.
+  // Hardware cells take the shared hw mutex so at most one hw election --
+  // with its k real threads -- is in flight at a time, keeping measured
+  // thread counts honest while sim cells keep running concurrently; the
+  // current hw cell parks a persistent HwTrialPool of k participant
+  // threads reused across its trials, with the cell's step limit armed as
+  // the divergence watchdog.  One pool lives at a time -- trials claim
+  // cells essentially in order, so this reuses threads within a cell
+  // without accumulating parked threads across the whole hw grid.
   std::mutex hw_mutex;
   struct HwPoolSlot {
     int cell_index = -1;
@@ -389,14 +389,15 @@ CampaignResult run_campaign(const CampaignSpec& spec,
           });
       continue;
     }
-    // Batched SoA fast path: eligible cells run lockstep lane-blocks through
-    // the worker's pooled batch stream instead of the scalar kernel.
+    // Step-machine engine, the default for every eligible cell: trials run
+    // through the worker's pooled batch stream, with no fibers, one trial
+    // per block unless sim_batch_lanes asks for wider lockstep blocks.
     // Eligibility is two-sided (batch machine + pure-function-of-seed
     // adversary; see algo/batch.hpp) and requires the RMR-free memory path;
-    // record/replay runs were dispatched above.  Batched summaries are
-    // bitwise-identical to the scalar path's, so this branch can never
+    // record/replay runs were dispatched above.  Machine summaries are
+    // bitwise-identical to the fiber kernel's, so this branch can never
     // change campaign bytes.
-    if (options.sim_batch_lanes > 0 && cell.rmr == rmr::RmrModel::kNone &&
+    if (cell.rmr == rmr::RmrModel::kNone &&
         algo::batch_supported(cell.algorithm) &&
         algo::batch_sched(cell.adversary).has_value()) {
       const int lanes = std::clamp(options.sim_batch_lanes, 1,

@@ -103,15 +103,15 @@ struct ExecutorOptions {
   /// checkpoint_dir was set: completed sim cells land here so the campaign
   /// is resumable even if checkpointing wasn't requested up front.
   std::string interrupt_checkpoint_dir;
-  /// Batched SoA fast path (sim/batch.hpp): > 0 runs each *eligible* sim
-  /// cell's trials in lockstep blocks of this many lanes (clamped to
-  /// [1, sim::kMaxBatchLanes]).  Eligibility is per cell -- the algorithm
-  /// needs a batch machine, the adversary's schedule must be a pure
-  /// function of its seed, and no RMR model may be armed (see
-  /// algo/batch.hpp); ineligible cells, record, and replay runs keep the
-  /// scalar kernel.  Batched cells produce bitwise-identical summaries to
-  /// the scalar path (CI-gated), so this knob can never change results --
-  /// only throughput.  0 disables.
+  /// Lane width of the step-machine engine (sim/batch.hpp), which runs
+  /// every *eligible* sim cell: the algorithm needs a batch machine, the
+  /// adversary's schedule must be a pure function of its seed, and no RMR
+  /// model may be armed (see algo/batch.hpp); ineligible cells, record,
+  /// and replay runs keep the fiber kernel.  0, the default, means one
+  /// trial per block; > 0 runs lockstep blocks of this many lanes (clamped
+  /// to sim::kMaxBatchLanes).  Machine summaries are bitwise-identical to
+  /// the fiber kernel's (CI-gated), so this knob can never change results
+  /// -- only throughput.
   int sim_batch_lanes = 0;
 };
 

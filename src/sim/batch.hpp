@@ -1,14 +1,16 @@
-// Batched structure-of-arrays trial engine: B same-cell trials in lockstep.
+// Step-machine trial engine: blocks of B same-cell trials, without fibers.
 //
-// The scalar trial path (sim::Kernel + fibers) advances one trial at a time
-// and pays a fiber round-trip per step.  The batch engine removes it:
-// algorithms run as explicit state machines (no fibers), and register
-// values live in a flat structure-of-arrays bank (one 64-bit lane per
-// in-flight trial per register slot).  Each lane keeps the kernel's own
-// pid-ordered runnable set (sim/runnable_set.hpp: O(1) select, a finish
-// costs one sorted-vector erase).  A per-lane active mask retires
-// finished, crashed, and step-limit-starved trials without divergent
-// control flow in the pass loop.
+// The fiber kernel (sim::Kernel + fibers) pays a fiber round-trip per step.
+// This engine removes it: algorithms run as explicit state machines, and
+// register values live in a flat structure-of-arrays bank (one 64-bit lane
+// per in-flight trial per register slot).  The campaign executor runs every
+// eligible cell here, one trial per block unless
+// ExecutorOptions::sim_batch_lanes asks for lockstep lanes; wider blocks
+// have not been measured faster than one lane.  Each lane keeps the
+// kernel's own pid-ordered runnable set (sim/runnable_set.hpp: O(1)
+// select, a finish costs one sorted-vector erase).  A per-lane active mask
+// retires finished, crashed, and step-limit-starved trials without
+// divergent control flow in the pass loop.
 //
 // Determinism contract (enforced by tests/test_batch_invariance.cpp and the
 // CI batch-invariance job): for every *eligible* cell the engine reproduces

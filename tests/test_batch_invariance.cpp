@@ -6,10 +6,15 @@
 // byte-compare the checkpoint codec serialization of both paths across the
 // eligible catalogue (including crashing schedules and step-limit-starved
 // lanes), check that ineligible pairs refuse a stream, and property-test
-// the SoA bank reset.  The runnable set the engine shares with the scalar
-// kernel is tested in tests/test_runnable_set.cpp.
+// the SoA bank reset.  Campaigns run eligible cells on the machines by
+// default, so the campaign-level gate compares them with a record-mode
+// campaign, which keeps the fiber kernel.  The runnable set the engine
+// shares with the scalar kernel is tested in tests/test_runnable_set.cpp.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -115,12 +120,14 @@ TEST(BatchInvariance, EligibleCatalogueIsEnumeratedAsExpected) {
 
 TEST(BatchInvariance, BatchedMatchesScalarAcrossEligibleCatalogue) {
   constexpr int kTrials = 10;  // 10 = 8 + 2: exercises a partial last block
-  constexpr int kLanes = 8;
-  for (const algo::AlgorithmId algorithm : eligible_algorithms()) {
-    for (const algo::AdversaryId adversary : eligible_adversaries()) {
-      for (const int k : {2, 8, 33}) {
-        expect_bitwise_identical(algorithm, adversary, /*n=*/k, k, kTrials,
-                                 kLanes, /*step_limit=*/10'000'000);
+  // One lane is the campaign executor's default; eight lanes run lockstep.
+  for (const int lanes : {1, 8}) {
+    for (const algo::AlgorithmId algorithm : eligible_algorithms()) {
+      for (const algo::AdversaryId adversary : eligible_adversaries()) {
+        for (const int k : {2, 8, 33}) {
+          expect_bitwise_identical(algorithm, adversary, /*n=*/k, k, kTrials,
+                                   lanes, /*step_limit=*/10'000'000);
+        }
       }
     }
   }
@@ -286,23 +293,45 @@ TEST(BatchInvariance, DirectToSummaryMatchesTheComposedScalarPath) {
 }
 
 TEST(BatchInvariance, CampaignBatchKnobNeverChangesReporterBytes) {
-  // End-to-end executor gate: a mixed grid -- an eligible algorithm, an
-  // algorithm with no batch machine, an eligible adversary, and an
-  // adversary with an impure schedule -- must render identical reporter
-  // bytes whether the batch fast path is off, narrow, or wider than the
-  // cell (and under work stealing).  Ineligible cells silently keep the
-  // scalar kernel; that fallback is what this grid probes.
+  // End-to-end executor gate.  The reference is a record-mode campaign,
+  // which runs every cell on the fiber kernel; without recording, eligible
+  // cells run on the step machines at any lane count.  The grid is every
+  // machine algorithm against every replicated scheduler, plus an
+  // algorithm with no machine (ratrace) and an adversary with an impure
+  // schedule (abort), whose cells keep the fiber kernel in every run.  The
+  // step limit starves some trials, so retired lanes are covered too.
   campaign::CampaignSpec spec;
   spec.name = "batch-gate";
-  spec.algorithms = {algo::AlgorithmId::kLogStarChain,
-                     algo::AlgorithmId::kRatRace};
-  spec.adversaries = {algo::AdversaryId::kUniformRandom,
-                      algo::AdversaryId::kAbortAfterOps};
-  spec.ks = {2, 6};
+  spec.algorithms = eligible_algorithms();
+  spec.algorithms.push_back(algo::AlgorithmId::kRatRace);
+  spec.adversaries = eligible_adversaries();
+  spec.adversaries.push_back(algo::AdversaryId::kAbortAfterOps);
+  spec.ks = {1, 2, 6, 65};
   spec.trials = 10;
   spec.seed = 404;
-  std::string reference_jsonl;
-  std::string reference_csv;
+  spec.step_limit = 60;
+
+  const std::string record_dir = ::testing::TempDir() + "rts-batch-gate-" +
+                                 std::to_string(::getpid());
+  std::filesystem::remove_all(record_dir);
+  campaign::ExecutorOptions record;
+  record.record_dir = record_dir;
+  const campaign::CampaignResult reference =
+      campaign::run_campaign(spec, record);
+  std::filesystem::remove_all(record_dir);
+  const std::string reference_jsonl =
+      campaign::render_to_string(reference, campaign::ReportFormat::kJsonl);
+  const std::string reference_csv =
+      campaign::render_to_string(reference, campaign::ReportFormat::kCsv);
+  ASSERT_FALSE(reference_jsonl.empty());
+
+  int starved_cells = 0;
+  for (const campaign::CellResult& cell : reference.cells) {
+    if (cell.incomplete_runs > 0) ++starved_cells;
+  }
+  EXPECT_GT(starved_cells, 0);
+  EXPECT_LT(starved_cells, static_cast<int>(reference.cells.size()));
+
   for (const int lanes : {0, 1, 8, 64}) {
     campaign::ExecutorOptions options;
     options.sim_batch_lanes = lanes;
@@ -313,14 +342,8 @@ TEST(BatchInvariance, CampaignBatchKnobNeverChangesReporterBytes) {
         campaign::render_to_string(result, campaign::ReportFormat::kJsonl);
     const std::string csv =
         campaign::render_to_string(result, campaign::ReportFormat::kCsv);
-    EXPECT_FALSE(jsonl.empty());
-    if (reference_jsonl.empty()) {
-      reference_jsonl = jsonl;
-      reference_csv = csv;
-    } else {
-      EXPECT_EQ(jsonl, reference_jsonl) << "sim_batch_lanes=" << lanes;
-      EXPECT_EQ(csv, reference_csv) << "sim_batch_lanes=" << lanes;
-    }
+    EXPECT_EQ(jsonl, reference_jsonl) << "sim_batch_lanes=" << lanes;
+    EXPECT_EQ(csv, reference_csv) << "sim_batch_lanes=" << lanes;
   }
 }
 
