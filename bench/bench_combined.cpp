@@ -1,9 +1,11 @@
 // Experiment E5 (Theorem 4.1 / Corollary 4.2): the adversary matrix.
 //
-// The weak-scheduler column is campaign preset "combined-weak"; this binary
-// runs it, then drives the white-box group-election-neutralizer attack
-// (which must decode algorithm phases, so it cannot be a black-box campaign
-// adversary) and prints the matrix: weak vs attack, per algorithm and k.
+// The weak-scheduler column is campaign preset "combined-weak" (`rts_bench
+// --preset combined-weak` prints its table); this binary runs its grid for
+// the cell means, then drives the white-box group-election-neutralizer
+// attack (which must decode algorithm phases, so it cannot be a black-box
+// campaign adversary) and prints the matrix: weak vs attack, per algorithm
+// and k.
 // The paper's claims, visible as shapes:
 //  * the log* chain is fast under the weak scheduler but Theta(k) under the
 //    attack;
@@ -15,7 +17,8 @@
 
 #include "algo/attacks.hpp"
 #include "bench_util.hpp"
-#include "campaign/cli.hpp"
+#include "campaign/executor.hpp"
+#include "campaign/presets.hpp"
 #include "support/math.hpp"
 
 namespace {
@@ -36,7 +39,8 @@ int main() {
   campaign::ExecutorOptions parallel;
   parallel.workers = 0;
   const campaign::CampaignResult weak =
-      campaign::run_preset("combined-weak", parallel);
+      campaign::run_campaign(campaign::find_preset("combined-weak")->spec,
+                             parallel);
 
   for (const int k : {32, 128, 512}) {
     support::Table table(
@@ -54,7 +58,7 @@ int main() {
       const auto attack = algo::run_attack(
           id, algo::AttackKind::kGroupElectionNeutralizer, k, 3);
       table.add_row(
-          {algo::info(id).name, bench::fmt_mean_ci(cell->agg.max_steps),
+          {algo::info(id).name, support::fmt_mean_ci(cell->agg.max_steps),
            support::Table::num(static_cast<std::size_t>(attack.max_steps)),
            support::Table::num(
                static_cast<double>(attack.max_steps) /

@@ -1,17 +1,14 @@
-// Experiment E10: hardware microbenchmark.
-//
-// The grid half (mean shared-ops per election across all hw-capable
-// algorithms vs the native atomic baseline) is the `hw-smoke` campaign
-// preset, run through the engine like every other table.  What stays
-// bespoke here is the google-benchmark latency section: one-shot election
-// wall time vs thread count, which needs google-benchmark's timing loop
-// rather than a trial grid.
+// Experiment E10: hardware microbenchmark -- one-shot election wall time vs
+// thread count, which needs google-benchmark's timing loop rather than a
+// trial grid.  The grid half (mean shared-ops per election across all
+// hw-capable algorithms vs the native atomic baseline) is the `hw-smoke`
+// preset: `rts_bench --preset hw-smoke`.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <thread>
 
-#include "campaign/cli.hpp"
+#include "algo/registry.hpp"
 #include "hw/harness.hpp"
 
 namespace {
@@ -53,7 +50,6 @@ void register_benchmarks() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  campaign::run_preset("hw-smoke");
   register_benchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -2,17 +2,15 @@
 // under weak (location-oblivious) scheduling grows like log* k -- essentially
 // flat -- while using O(n) registers.
 //
-// The step-complexity sweep is campaign preset "logstar"
-// (`rts_bench --preset logstar` regenerates it standalone); this binary
-// keeps ablation D3, which needs a bespoke builder: space of the truncated
-// chain (live prefix Theta(log n) + dummy tail) vs a fully live chain
-// (Theta(n log n)).
+// The step-complexity sweep is campaign preset "logstar" (`rts_bench
+// --preset logstar`); this binary runs ablation D3, which needs a bespoke
+// builder: space of the truncated chain (live prefix Theta(log n) + dummy
+// tail) vs a fully live chain (Theta(n log n)).
 #include <cstdio>
 
 #include "algo/chain.hpp"
 #include "algo/registry.hpp"
 #include "bench_util.hpp"
-#include "campaign/cli.hpp"
 #include "sim/kernel.hpp"
 #include "support/math.hpp"
 
@@ -37,10 +35,6 @@ sim::LeBuilder full_live_builder() {
 }  // namespace
 
 int main() {
-  campaign::ExecutorOptions parallel;
-  parallel.workers = 0;
-  campaign::run_preset("logstar", parallel);
-
   support::Table space("D3 ablation: registers, truncated vs fully live chain",
                        {"n", "truncated (Thm 2.3)", "fully live",
                         "n (linear ref)", "n log2 n"});
@@ -61,8 +55,7 @@ int main() {
   space.print();
 
   std::printf(
-      "\nReading: E[max steps] is nearly flat across three decades of k "
-      "(log* shape);\ntruncated space tracks the linear reference, the "
-      "fully live chain tracks n log n.\n");
+      "\nReading: truncated space tracks the linear reference, the fully "
+      "live chain tracks n log n.\n");
   return 0;
 }

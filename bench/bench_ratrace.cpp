@@ -2,9 +2,9 @@
 //
 // The grid tables (structure size sweep; O(log k) step complexity under
 // adversarial random scheduling) are campaign presets "ratrace-space" and
-// "ratrace" -- `rts_bench --preset ratrace` regenerates them standalone.
-// This binary drives those presets and keeps the two bespoke experiments
-// that are not (algorithm x adversary x k) grids:
+// "ratrace" (`rts_bench --preset ratrace-space,ratrace`).  This binary
+// runs the two bespoke experiments that are not (algorithm x adversary x
+// k) grids:
 //  * Claim 3.2: a group of log n leaves receives more than 4 log n
 //    processes with probability <= 1/n^2 (ball-in-bins measurement).
 //  * Ablation D4: elimination-path length factor (2/4/8 x log n) vs overflow
@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "algo/elim_path.hpp"
+#include "algo/sim_platform.hpp"
 #include "bench_util.hpp"
-#include "campaign/cli.hpp"
 #include "sim/adversaries.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
@@ -48,11 +48,6 @@ double leaf_overload_rate(int n, int limit, int trials, std::uint64_t seed) {
 }  // namespace
 
 int main() {
-  campaign::ExecutorOptions parallel;
-  parallel.workers = 0;  // all hardware threads; aggregates don't depend on it
-  campaign::run_preset("ratrace-space", parallel);
-  campaign::run_preset("ratrace", parallel);
-
   {
     support::Table claim("Claim 3.2: P(> c log n processes in log n leaves)",
                          {"n", "limit 2 log n", "limit 4 log n",
@@ -110,9 +105,7 @@ int main() {
   }
 
   std::printf(
-      "\nReading: declared regs show the paper's n^3 -> n improvement; step "
-      "columns grow with log k for both variants;\nclaim-3.2 rates sit "
-      "at/below 1/n^2; 4 log n paths see no overflow at the loads Claim 3.2 "
-      "guarantees.\n");
+      "\nReading: claim-3.2 rates sit at/below 1/n^2; 4 log n paths see no "
+      "overflow at the loads Claim 3.2 guarantees.\n");
   return 0;
 }

@@ -1,17 +1,10 @@
-// Shared scaffolding for the experiment binaries.  The sweep constants and
-// adversary factories that used to be copy-pasted here live in the campaign
-// registry now (campaign/spec.hpp, algo/registry.hpp); this header only
-// forwards to them and keeps the banner/format helpers the bespoke
-// (non-grid) experiment sections still use.
+// Shared scaffolding for the bespoke experiment binaries: the banner the
+// non-grid sections print, plus the table and statistics headers they all
+// use.  Grid experiments are rts_bench presets (campaign/presets.hpp).
 #pragma once
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
-#include "algo/registry.hpp"
-#include "campaign/spec.hpp"
-#include "sim/runner.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
@@ -22,26 +15,6 @@ inline void banner(const char* experiment, const char* claim) {
   std::printf("# %s\n", experiment);
   std::printf("# Paper claim: %s\n", claim);
   std::printf("######################################################\n");
-}
-
-/// Weak-adversary factory used throughout: uniformly random scheduling,
-/// which is oblivious (hence also location-oblivious and R/W-oblivious).
-inline sim::AdversaryFactory random_adversary() {
-  return algo::adversary_factory(algo::AdversaryId::kUniformRandom);
-}
-
-inline sim::AdversaryFactory round_robin_adversary() {
-  return algo::adversary_factory(algo::AdversaryId::kRoundRobin);
-}
-
-/// The default contention sweep: powers of two through the simulator's
-/// comfortable range.
-inline std::vector<int> contention_sweep() {
-  return campaign::standard_contention_sweep();
-}
-
-inline std::string fmt_mean_ci(const support::Accumulator& acc) {
-  return support::fmt_mean_ci(acc);
 }
 
 }  // namespace rts::bench

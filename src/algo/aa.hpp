@@ -2,7 +2,7 @@
 // builds on and improves: O(log log n) rounds of sifting followed by
 // RatRace among the survivors.
 //
-// Two properties matter here (both measured in bench_landscape /
+// Two properties matter here (measured by the `landscape` preset and
 // bench_combined):
 //  * against the R/W-oblivious adversary the sifting phase cuts the cohort
 //    doubly-exponentially, so the expected step complexity is O(log log n)

@@ -1,18 +1,20 @@
 #include "campaign/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "campaign/executor.hpp"
 #include "campaign/hunt.hpp"
+#include "campaign/presets.hpp"
 #include "campaign/reporter.hpp"
 #include "campaign/soak.hpp"
 #include "fault/plan.hpp"
@@ -44,19 +46,26 @@ std::optional<long long> parse_integer_flag(const char* flag,
 
 std::optional<std::uint64_t> parse_u64_flag(const char* flag,
                                             std::string_view text,
-                                            std::uint64_t min_value) {
+                                            std::uint64_t min_value,
+                                            std::uint64_t max_value) {
   std::uint64_t value = 0;
   const char* const last = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), last, value);
-  if (ec == std::errc{} && ptr == last && value >= min_value) return value;
-  std::fprintf(stderr, "rts_bench: %s expects an integer >= %llu, got '%.*s'\n",
+  if (ec == std::errc{} && ptr == last && value >= min_value &&
+      value <= max_value) {
+    return value;
+  }
+  std::fprintf(stderr,
+               "rts_bench: %s expects an integer in [%llu, %llu], got '%.*s'\n",
                flag, static_cast<unsigned long long>(min_value),
+               static_cast<unsigned long long>(max_value),
                static_cast<int>(text.size()), text.data());
   return std::nullopt;
 }
 
 std::optional<double> parse_double_flag(const char* flag, std::string_view text,
-                                        double min_exclusive) {
+                                        double min_exclusive,
+                                        double max_inclusive) {
   // strtod instead of from_chars: a finite-value parse of doubles that works
   // on every toolchain in the CI matrix.  The whole token must be consumed.
   const std::string copy(text);
@@ -64,16 +73,89 @@ std::optional<double> parse_double_flag(const char* flag, std::string_view text,
   char* end = nullptr;
   const double value = std::strtod(copy.c_str(), &end);
   if (errno == 0 && end != copy.c_str() && *end == '\0' &&
-      std::isfinite(value) && value > min_exclusive) {
+      std::isfinite(value) && value > min_exclusive && value <= max_inclusive) {
     return value;
   }
-  std::fprintf(stderr, "rts_bench: %s expects a finite number > %g, got "
+  std::fprintf(stderr,
+               "rts_bench: %s expects a finite number in (%g, %g], got "
                "'%.*s'\n",
-               flag, min_exclusive, static_cast<int>(text.size()), text.data());
+               flag, min_exclusive, max_inclusive,
+               static_cast<int>(text.size()), text.data());
   return std::nullopt;
 }
 
+/// What the command line asked for.  `given` lists the table rows the
+/// command named, in argv order, for the mode check and the cross-flag
+/// rules.
+struct CliArgs {
+  std::vector<const Preset*> presets;
+  std::vector<algo::AlgorithmId> algos;
+  std::vector<algo::AdversaryId> adversaries;
+  std::vector<exec::Backend> backends;  // empty: keep each spec's own
+  std::vector<rmr::RmrModel> rmrs;      // empty: keep each spec's own
+  std::vector<int> ks;
+  int fixed_n = 0;
+  std::optional<int> trials;
+  std::optional<std::uint64_t> seed;
+  std::optional<std::uint64_t> step_limit;
+  int workers = 1;
+  double time_budget = 0.0;
+  ReportFormat format = ReportFormat::kTable;
+  std::string json_path;
+  std::string csv_path;
+  std::string bench_dir;
+  std::string record_dir;
+  std::string replay_dir;
+  std::string hunt_dir;
+  std::string minimize_file;
+  std::vector<std::string> conform_dirs;
+  std::vector<sim::PredicateSpec> predicates;  // empty: max-steps
+  int trial = 0;
+  std::string out_path;
+  double soak_seconds = 0.0;
+  double rate = 0.0;
+  int shards = 0;  // 0 = keep the soak spec's own (default 1)
+  const SoakPreset* soak_preset = nullptr;
+  std::vector<int> pin_cpus;
+  fault::FaultPlan faults;  // an empty spec keeps the soak spec's own plan
+  std::uint64_t deadline_us = 0;
+  std::optional<int> retries;
+  std::uint64_t shed_backlog = 0;
+  std::string checkpoint_dir;
+  int checkpoint_every = 1;
+  std::string resume_dir;
+  bool progress = false;
+  bool quiet = false;
+  bool list = false;
+  bool help = false;
+  std::vector<const CliFlag*> given;
+};
+
 namespace {
+
+// Upper bounds that keep every accepted value in range when it is
+// converted to integer nanoseconds (or, for --soak x --rate, to a uint64
+// arrival count): 1e9 s is ~31.7 years, and 1e18 ns fits in int64 with
+// room left for a steady-clock time point.
+constexpr double kMaxSeconds = 1e9;
+constexpr double kMaxRate = 1e9;
+constexpr std::uint64_t kMaxDeadlineUs = 1'000'000'000'000'000;
+constexpr long long kIntMax = std::numeric_limits<int>::max();
+
+struct ModeInfo {
+  CliMode mode;
+  const char* name;
+  const char* usage;
+};
+
+constexpr ModeInfo kModes[] = {
+    {kCampaignMode, "campaign",
+     "--preset NAME[,NAME...] and/or --algos A[,A...], no mode flag"},
+    {kHuntMode, "hunt", "--hunt DIR over a campaign's --preset/--algos grid"},
+    {kMinimizeMode, "minimize", "--minimize FILE"},
+    {kConformMode, "conform", "--conform DIR[,DIR...]"},
+    {kSoakMode, "soak", "--soak S or --soak-preset P (hw backend)"},
+};
 
 std::vector<std::string> split_csv(std::string_view text) {
   std::vector<std::string> parts;
@@ -86,109 +168,411 @@ std::vector<std::string> split_csv(std::string_view text) {
   return parts;
 }
 
+template <typename T>
+std::string closed_range(T lo, T hi) {
+  return "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+}
+
+// ------------------------------------------------- flag value readers --
+// Each returns the CliValue of one table row: how the row stores its value
+// into CliArgs, and the accepted range --help prints.
+
+CliValue on(bool CliArgs::*field) {
+  return {[field](CliArgs& args, const char*, std::string_view) {
+            args.*field = true;
+            return true;
+          },
+          ""};
+}
+
+/// One value, read by `read` (std::nullopt after a diagnostic).
+template <typename Field, typename Read>
+CliValue one(Field CliArgs::*field, Read read, std::string range = "") {
+  return {[=](CliArgs& args, const char* flag, std::string_view text) {
+            auto parsed = read(flag, text);
+            if (parsed) args.*field = std::move(*parsed);
+            return parsed.has_value();
+          },
+          std::move(range)};
+}
+
+constexpr bool kLastWins = true;
+
+/// A comma-separated list, each item read by `read`.  Repeating the flag
+/// appends to the list, except with `last_wins`, where the last copy wins.
+template <typename T, typename Read>
+CliValue list(std::vector<T> CliArgs::*field, Read read,
+              std::string range = "", bool last_wins = false) {
+  return {[=](CliArgs& args, const char* flag, std::string_view text) {
+            std::vector<T>& out = args.*field;
+            if (last_wins) out.clear();
+            for (const std::string& item : split_csv(text)) {
+              std::optional<T> parsed = read(flag, item);
+              if (!parsed) return false;
+              out.push_back(std::move(*parsed));
+            }
+            return true;
+          },
+          std::move(range)};
+}
+
+std::optional<std::string> verbatim(const char*, std::string_view text) {
+  return std::string(text);
+}
+
+auto int_in(long long lo, long long hi) {
+  return [=](const char* flag, std::string_view text) -> std::optional<int> {
+    const auto parsed = parse_integer_flag(flag, text, lo, hi);
+    if (!parsed) return std::nullopt;
+    return static_cast<int>(*parsed);
+  };
+}
+
+/// A name `lookup` knows (it returns std::nullopt for any other);
+/// `expected` lists the names.
+template <typename Lookup>
+auto name_in(Lookup lookup, const char* expected) {
+  return [=](const char* flag, std::string_view text) {
+    auto value = lookup(text);
+    if (!value) {
+      std::fprintf(stderr, "rts_bench: %s expects %s, got '%.*s'\n", flag,
+                   expected, static_cast<int>(text.size()), text.data());
+    }
+    return value;
+  };
+}
+
+std::optional<rmr::RmrModel> rmr_model(std::string_view text) {
+  rmr::RmrModel model;
+  if (!rmr::parse_rmr_model(text, &model)) return std::nullopt;
+  return model;
+}
+
+/// A registry lookup that returns nullptr for an unknown name, as a
+/// name_in lookup.
+template <auto find>
+auto found(std::string_view name) -> std::optional<decltype(find(name))> {
+  const auto entry = find(name);
+  if (entry == nullptr) return std::nullopt;
+  return entry;
+}
+
+std::optional<fault::FaultPlan> fault_plan(const char*, std::string_view text) {
+  std::string error;
+  std::optional<fault::FaultPlan> plan = fault::FaultPlan::parse(text, &error);
+  if (!plan) {
+    std::fprintf(stderr, "rts_bench: bad --faults spec: %s\n", error.c_str());
+  }
+  return plan;
+}
+
+// ----------------------------------------------------------- the table --
+
+constexpr unsigned kGrid = kCampaignMode | kHuntMode;  // shape a sim grid
+
+std::vector<CliFlag> make_flag_table() {
+  const auto ints = [](auto field, long long lo, long long hi) {
+    return one(field, int_in(lo, hi), closed_range(lo, hi));
+  };
+  const auto u64s = [](auto field, std::uint64_t lo,
+                       std::uint64_t hi = UINT64_MAX) {
+    const auto read = [=](const char* flag, std::string_view text) {
+      return parse_u64_flag(flag, text, lo, hi);
+    };
+    return one(field, read, closed_range(lo, hi));
+  };
+  // A finite double in (0, max].
+  const auto positive = [](auto field, double max) {
+    const auto read = [=](const char* flag, std::string_view text) {
+      return parse_double_flag(flag, text, 0.0, max);
+    };
+    char range[32];
+    std::snprintf(range, sizeof range, "(0, %g]", max);
+    return one(field, read, range);
+  };
+  const auto path = [](auto field) { return one(field, verbatim); };
+  return {
+      {"--help", "-h", nullptr, on(&CliArgs::help), kAllModes,
+       "print this help and exit"},
+      {"--list", nullptr, nullptr, on(&CliArgs::list), kAllModes,
+       "list presets, soak presets, algorithms, adversaries, backends and "
+       "predicates, and exit"},
+      {"--quiet", nullptr, nullptr, on(&CliArgs::quiet), kAllModes,
+       "no banners, summaries or heartbeats"},
+      {"--progress", nullptr, nullptr, on(&CliArgs::progress), kCampaignMode,
+       "live progress line on stderr"},
+      // The grid.
+      {"--preset", nullptr, "NAME[,NAME...]",
+       list(&CliArgs::presets,
+            name_in(found<find_preset>, "a preset name (see --list)")),
+       kGrid, "campaign presets to run (see --list)"},
+      {"--algos", nullptr, "A[,A...]",
+       list(&CliArgs::algos,
+            name_in(algo::parse_algorithm, "an algorithm name (see --list)"),
+            "", kLastWins),
+       kGrid | kSoakMode,
+       "algorithms of an ad-hoc grid or a soak (see --list)"},
+      {"--adversaries", nullptr, "S[,S...]",
+       list(&CliArgs::adversaries,
+            name_in(algo::parse_adversary, "an adversary name (see --list)"),
+            "", kLastWins),
+       kGrid, "schedulers of an ad-hoc grid (default: random)"},
+      {"--backend", "--backends", "B[,B...]",
+       list(&CliArgs::backends, name_in(exec::parse_backend, "sim or hw"),
+            "sim | hw"),
+       kGrid, "execution backends (overrides the preset's)"},
+      {"--rmr", nullptr, "M[,M...]",
+       list(&CliArgs::rmrs, name_in(rmr_model, "none, cc, or dsm"),
+            "none | cc | dsm"),
+       kGrid,
+       "RMR charging models (sim only; adds a grid axis and the RMR report "
+       "columns)"},
+      {"--ks", nullptr, "K[,K...]",
+       list(&CliArgs::ks, int_in(1, 1'000'000), closed_range(1, 1'000'000)),
+       kGrid | kSoakMode,
+       "contention levels (overrides the preset's); a soak takes one"},
+      {"--n", nullptr, "N", ints(&CliArgs::fixed_n, 1, 1'000'000),
+       kGrid | kSoakMode, "fixed object capacity (default: n = k)"},
+      {"--trials", nullptr, "N", ints(&CliArgs::trials, 1, kIntMax), kGrid,
+       "trials per cell (overrides the preset's)"},
+      {"--seed", nullptr, "S", u64s(&CliArgs::seed, 0), kGrid | kSoakMode,
+       "master seed (overrides the preset's)"},
+      {"--step-limit", nullptr, "N", u64s(&CliArgs::step_limit, 1),
+       kGrid | kSoakMode,
+       "per-trial kernel step budget (hw: each participant's op budget)"},
+      {"--workers", nullptr, "N", ints(&CliArgs::workers, 0, 4096),
+       kCampaignMode, "worker threads (0 = all hardware threads; default 1)"},
+      {"--time-budget", nullptr, "S",
+       positive(&CliArgs::time_budget, kMaxSeconds), kCampaignMode,
+       "stop claiming trials after S seconds (results are marked truncated)"},
+      // Output.
+      {"--format", nullptr, "F",
+       one(&CliArgs::format, name_in(parse_format, "table, jsonl, or csv"),
+           "table | jsonl | csv"),
+       kCampaignMode, "stdout format (default table)"},
+      {"--json", nullptr, "PATH", path(&CliArgs::json_path),
+       kCampaignMode | kSoakMode, "also write JSONL to PATH ('-' = stdout)"},
+      {"--csv", nullptr, "PATH", path(&CliArgs::csv_path), kCampaignMode,
+       "also write CSV to PATH ('-' = stdout)"},
+      {"--bench", nullptr, "DIR", path(&CliArgs::bench_dir), kCampaignMode,
+       "write a BENCH_<name>.json trajectory summary per campaign into DIR"},
+      // Schedule traces.
+      {"--record", nullptr, "DIR", path(&CliArgs::record_dir), kCampaignMode,
+       "record every sim trial's schedule into DIR/<campaign>/ (.rtst "
+       "traces + manifest)"},
+      {"--replay", nullptr, "DIR", path(&CliArgs::replay_dir), kCampaignMode,
+       "re-drive sim trials from the traces recorded in DIR/<campaign>/, "
+       "bit for bit"},
+      {"--hunt", nullptr, "DIR", path(&CliArgs::hunt_dir), kHuntMode,
+       "hunt worst-case schedules: record each sim cell, minimize its worst "
+       "trial per --pred family, write DIR/*.rtst and a corpus "
+       "MANIFEST.json"},
+      {"--minimize", nullptr, "FILE", path(&CliArgs::minimize_file),
+       kMinimizeMode, "delta-debug one trial of a recorded .rtst against "
+                      "--pred"},
+      {"--conform", nullptr, "DIR[,DIR...]",
+       list(&CliArgs::conform_dirs, verbatim), kConformMode,
+       "replay every .rtst in each DIR through fresh sim, pooled sim and "
+       "scheduled hw, and check the corpus manifest's minimization claims"},
+      {"--pred", nullptr, "P[,P...]",
+       list(&CliArgs::predicates,
+            name_in(sim::parse_predicate_spec, "a predicate (see --list)")),
+       kHuntMode | kMinimizeMode,
+       "predicates: a family (see --list) or family>=N; default max-steps, "
+       "thresholds default to the worst or recorded value"},
+      {"--trial", nullptr, "N", ints(&CliArgs::trial, 0, kIntMax),
+       kMinimizeMode, "trial index to minimize (default 0)"},
+      {"--out", nullptr, "PATH", path(&CliArgs::out_path), kMinimizeMode,
+       "output file (default: FILE with a .min.rtst suffix)"},
+      // Chaos and recovery.
+      {"--faults", nullptr, "SPEC", one(&CliArgs::faults, fault_plan),
+       kCampaignMode | kSoakMode,
+       "seeded fault plan for hw participants and campaign workers, e.g. "
+       "'stall:p=0.3,us=3000;noshow:p=0.1;die:p=0.001'"},
+      {"--deadline-us", nullptr, "N",
+       u64s(&CliArgs::deadline_us, 1, kMaxDeadlineUs),
+       kCampaignMode | kSoakMode,
+       "per-election deadline in microseconds; timed-out hw elections are "
+       "cancelled and retried"},
+      {"--retries", nullptr, "N", ints(&CliArgs::retries, 0, kIntMax),
+       kCampaignMode | kSoakMode,
+       "retries after a deadline cancellation (default 2, capped backoff)"},
+      {"--checkpoint", nullptr, "DIR", path(&CliArgs::checkpoint_dir),
+       kCampaignMode,
+       "checkpoint completed sim cells into DIR/<campaign>/ (SIGKILL-safe)"},
+      {"--checkpoint-every", nullptr, "N",
+       ints(&CliArgs::checkpoint_every, 1, kIntMax), kCampaignMode,
+       "flush the checkpoint every N completed cells (default 1)"},
+      {"--resume", nullptr, "DIR", path(&CliArgs::resume_dir), kCampaignMode,
+       "resume a checkpointed campaign: preload its finished cells and run "
+       "the rest; the output bytes equal an uninterrupted run's"},
+      // The open-loop soak.
+      {"--soak", nullptr, "S", positive(&CliArgs::soak_seconds, kMaxSeconds),
+       kSoakMode,
+       "soak for S seconds: fire elections at --rate through persistent "
+       "thread pools, heartbeats on stderr, report on stdout"},
+      {"--soak-preset", nullptr, "P",
+       one(&CliArgs::soak_preset,
+           name_in(found<find_soak_preset>, "a soak preset name (see --list)")),
+       kSoakMode,
+       "named soak configuration (see --list); the other soak flags "
+       "override it"},
+      {"--rate", nullptr, "R", positive(&CliArgs::rate, kMaxRate), kSoakMode,
+       "target election arrivals per second"},
+      {"--shards", nullptr, "N", ints(&CliArgs::shards, 1, 1024), kSoakMode,
+       "service shards: N election pools (k threads each) behind a "
+       "least-backlog dispatcher"},
+      {"--shed-backlog", nullptr, "N", u64s(&CliArgs::shed_backlog, 1),
+       kSoakMode, "shed arrivals once the backlog exceeds N elections"},
+      {"--pin", nullptr, "C[,C...]",
+       list(&CliArgs::pin_cpus, int_in(0, 4095), closed_range(0, 4095)),
+       kCampaignMode | kSoakMode,
+       "pin participant i to cpu C[i % len] (soak and hw campaign cells)"},
+  };
+}
+
+bool given(const CliArgs& args, std::string_view name) {
+  return std::any_of(
+      args.given.begin(), args.given.end(),
+      [name](const CliFlag* flag) { return name == flag->name; });
+}
+
+const CliFlag* find_flag(std::string_view arg) {
+  for (const CliFlag& flag : cli_flags()) {
+    if (arg == flag.name || (flag.alias != nullptr && arg == flag.alias)) {
+      return &flag;
+    }
+  }
+  return nullptr;
+}
+
+/// Returns std::nullopt and prints a diagnostic on malformed input.
+std::optional<CliArgs> parse_args(int argc, char** argv) {
+  CliArgs args;
+  for (int i = 1; i < argc; ++i) {
+    const CliFlag* flag = find_flag(argv[i]);
+    if (flag == nullptr) {
+      std::fprintf(stderr, "rts_bench: unknown option '%s'\n", argv[i]);
+      return std::nullopt;
+    }
+    std::string_view value;
+    if (flag->metavar != nullptr) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "rts_bench: %s needs a value\n", flag->name);
+        return std::nullopt;
+      }
+      value = argv[++i];
+    }
+    if (!flag->value.parse(args, flag->name, value)) return std::nullopt;
+    args.given.push_back(flag);
+  }
+  return args;
+}
+
+CliMode mode_of(const CliArgs& args) {
+  if (given(args, "--soak") || given(args, "--soak-preset")) return kSoakMode;
+  if (given(args, "--conform")) return kConformMode;
+  if (given(args, "--minimize")) return kMinimizeMode;
+  if (given(args, "--hunt")) return kHuntMode;
+  return kCampaignMode;
+}
+
+/// The cross-flag rules a mode set cannot express; nullptr when all hold.
+const char* broken_rule(const CliArgs& args, CliMode mode) {
+  const bool checkpoint = given(args, "--checkpoint");
+  const bool resume = given(args, "--resume");
+  const bool record = given(args, "--record");
+  const bool replay = given(args, "--replay");
+  if (record && replay) return "--record and --replay are mutually exclusive";
+  if (checkpoint && resume) {
+    return "use either --checkpoint DIR (fresh run) or --resume DIR "
+           "(continue into the same directory), not both";
+  }
+  if ((checkpoint || resume) && (record || replay)) {
+    return "--checkpoint/--resume cannot be combined with --record/--replay";
+  }
+  if (given(args, "--checkpoint-every") && !checkpoint && !resume) {
+    return "--checkpoint-every needs --checkpoint or --resume";
+  }
+  if (mode == kSoakMode && args.ks.size() > 1) {
+    return "soak mode takes exactly one --ks value";
+  }
+  if (mode == kMinimizeMode && args.predicates.size() > 1) {
+    return "--minimize takes exactly one --pred";
+  }
+  return nullptr;
+}
+
+/// Prints `text` word-wrapped into the help's description column; `used`
+/// is how many characters the current line already holds.
+void print_described(std::FILE* out, std::size_t used, std::string_view text) {
+  constexpr std::size_t kColumn = 28;
+  constexpr std::size_t kWidth = 79 - kColumn;
+  if (used >= kColumn) {
+    std::fputc('\n', out);
+    used = 0;
+  }
+  while (!text.empty()) {
+    std::size_t take = text.size();
+    if (take > kWidth) {
+      take = text.rfind(' ', kWidth);
+      if (take == std::string_view::npos || take == 0) take = kWidth;
+    }
+    std::fprintf(out, "%*s%.*s\n", static_cast<int>(kColumn - used), "",
+                 static_cast<int>(take), text.data());
+    text.remove_prefix(take);
+    while (!text.empty() && text.front() == ' ') text.remove_prefix(1);
+    used = 0;
+  }
+}
+
+std::string modes_text(unsigned modes) {
+  if (modes == kAllModes) return "all";
+  std::string text;
+  for (const ModeInfo& mode : kModes) {
+    if ((modes & mode.mode) == 0) continue;
+    if (!text.empty()) text += ", ";
+    text += mode.name;
+  }
+  return text;
+}
+
+void print_help(std::FILE* out) {
+  std::fprintf(out,
+               "rts_bench -- unified experiment-campaign driver\n"
+               "\n"
+               "usage: rts_bench --list | --help\n"
+               "       rts_bench [MODE FLAG] [flags]\n"
+               "\n"
+               "modes (the mode flag picks one; a flag given outside the "
+               "modes listed\nunder it is rejected):\n");
+  for (const ModeInfo& mode : kModes) {
+    std::fprintf(out, "  %-10s%s\n", mode.name, mode.usage);
+  }
+  std::fprintf(out, "\nflags:\n");
+  for (const CliFlag& flag : cli_flags()) {
+    std::string head = std::string("  ") + flag.name;
+    if (flag.alias != nullptr) head += std::string(", ") + flag.alias;
+    if (flag.metavar != nullptr) head += std::string(" ") + flag.metavar;
+    std::fputs(head.c_str(), out);
+    print_described(out, head.size(), flag.help);
+    std::string details = "modes: " + modes_text(flag.modes);
+    if (!flag.value.range.empty()) {
+      details = "accepts " + flag.value.range + "; " + details;
+    }
+    print_described(out, 0, details);
+  }
+  std::fprintf(out,
+               "\nSIGINT/SIGTERM stop campaign and soak runs gracefully: "
+               "partial results are\nreported (marked interrupted), and "
+               "campaigns checkpoint their completed cells\nfor --resume.\n");
+}
+
 void print_banner(const Preset& preset) {
   std::printf("\n######################################################\n");
   std::printf("# %s\n", preset.title);
   std::printf("# Paper claim: %s\n", preset.claim);
   std::printf("######################################################\n");
-}
-
-void print_usage(std::FILE* out) {
-  std::fprintf(out,
-               "rts_bench -- unified experiment-campaign driver\n"
-               "\n"
-               "usage:\n"
-               "  rts_bench --list\n"
-               "  rts_bench --preset NAME[,NAME...] [options]\n"
-               "  rts_bench --algos A[,A...] [--adversaries S[,S...]]\n"
-               "            [--ks K[,K...]] [options]      (ad-hoc grid)\n"
-               "\n"
-               "options:\n"
-               "  --backend B[,B...] execution backends: sim | hw "
-               "(overrides preset)\n"
-               "  --workers N       worker threads (0 = hardware, default 1)\n"
-               "  --trials N        override trials per cell\n"
-               "  --seed S          override campaign seed\n"
-               "  --ks K[,K...]     override the contention sweep\n"
-               "  --n N             fixed object capacity (default: n = k)\n"
-               "  --rmr M[,M...]    RMR charging models: none | cc | dsm\n"
-               "                    (sim only; adds a grid axis and the RMR\n"
-               "                    report columns)\n"
-               "  --format F        stdout format: table | jsonl | csv\n"
-               "  --json PATH       also write JSONL to PATH ('-' = stdout)\n"
-               "  --csv PATH        also write CSV to PATH ('-' = stdout)\n"
-               "  --bench DIR       write a BENCH_<name>.json trajectory\n"
-               "                    summary per campaign into DIR\n"
-               "  --record DIR      record every sim trial's schedule into\n"
-               "                    DIR/<campaign>/ (.rtst traces + manifest)\n"
-               "  --replay DIR      re-drive sim trials from traces recorded\n"
-               "                    in DIR/<campaign>/ (bit-for-bit replay)\n"
-               "  --hunt DIR        hunt worst-case schedules: record each\n"
-               "                    sim cell, minimize the worst trial per\n"
-               "                    --pred family, write DIR/*.rtst + corpus\n"
-               "                    MANIFEST.json\n"
-               "  --minimize FILE   delta-debug one trial of a recorded\n"
-               "                    .rtst against --pred; see --trial/--out\n"
-               "  --conform DIR[,DIR...]\n"
-               "                    replay every .rtst in DIR through the\n"
-               "                    differential conformance harness (fresh\n"
-               "                    sim, pooled sim, scheduled hw) and check\n"
-               "                    corpus-manifest minimization claims\n"
-               "  --pred P[,P...]   predicate specs for --hunt/--minimize:\n"
-               "                    a family (max-steps, winner-steps,\n"
-               "                    total-steps, violation, divergence) or\n"
-               "                    family>=N; thresholds default to the\n"
-               "                    worst/recorded value\n"
-               "  --trial N         trial index for --minimize (default 0)\n"
-               "  --out PATH        output path for --minimize (default:\n"
-               "                    FILE with a .min.rtst suffix)\n"
-               "  --time-budget S   stop claiming trials after S seconds\n"
-               "  --step-limit N    per-trial kernel step budget\n"
-               "  --progress        live progress line on stderr\n"
-               "  --quiet           no banners\n"
-               "\n"
-               "chaos / recovery (see EXPERIMENTS.md, fault/plan.hpp):\n"
-               "  --faults SPEC     seeded fault plan, e.g.\n"
-               "                    'stall:p=0.3,us=3000;noshow:p=0.1;"
-               "die:p=0.001'\n"
-               "                    (hw participants + campaign workers)\n"
-               "  --deadline-us N   per-election deadline; timed-out\n"
-               "                    elections are cancelled and retried\n"
-               "  --retries N       retry attempts after a deadline\n"
-               "                    cancellation (default 2, capped backoff)\n"
-               "  --shed-backlog N  soak only: shed arrivals once the\n"
-               "                    backlog exceeds N elections\n"
-               "  --checkpoint DIR  checkpoint completed sim cells into\n"
-               "                    DIR/<campaign>/ (SIGKILL-safe)\n"
-               "  --checkpoint-every N\n"
-               "                    flush every N completed cells (default 1)\n"
-               "  --resume DIR      resume a checkpointed campaign: preload\n"
-               "                    finished cells, run the rest; final\n"
-               "                    output bytes equal an uninterrupted run\n"
-               "\n"
-               "SIGINT/SIGTERM stop campaign and soak runs gracefully:\n"
-               "partial results are reported (marked interrupted) and, for\n"
-               "campaigns, completed cells are checkpointed for --resume.\n"
-               "\n"
-               "open-loop soak (hw backend; see EXPERIMENTS.md):\n"
-               "  --soak S          soak for S seconds: fire elections at\n"
-               "                    --rate through a persistent thread pool,\n"
-               "                    heartbeats on stderr, report on stdout\n"
-               "  --rate R          target election arrivals per second\n"
-               "  --shards N        service shards: N persistent election\n"
-               "                    pools (k threads each) behind a\n"
-               "                    least-backlog dispatcher; merged report\n"
-               "                    is exact, per-shard blocks in jsonl\n"
-               "  --soak-preset P   named soak configuration (see --list);\n"
-               "                    --soak/--rate/--algos/--ks/... override\n"
-               "  --pin C[,C...]    pin participant i to cpu C[i %% len]; in\n"
-               "                    soak and hw campaign cells (NUMA control)\n"
-               "\n"
-               "Sim aggregates are a pure function of the spec: output bytes\n"
-               "are identical for any --workers value (absent --time-budget).\n"
-               "Hw cells run the same seeded trial streams on real threads\n"
-               "(one election at a time); their step counts carry genuine\n"
-               "scheduling noise.\n");
 }
 
 void print_list() {
@@ -230,317 +614,21 @@ void print_list() {
   }
 }
 
-struct CliArgs {
-  std::vector<std::string> presets;
-  std::vector<std::string> algos;
-  std::vector<std::string> adversaries;
-  std::vector<exec::Backend> backends;  // empty: keep each spec's own
-  std::vector<rmr::RmrModel> rmrs;      // empty: keep each spec's own
-  std::vector<int> ks;
-  int fixed_n = 0;
-  std::optional<int> trials;
-  std::optional<std::uint64_t> seed;
-  std::optional<std::uint64_t> step_limit;
-  int workers = 1;
-  double time_budget = 0.0;
-  ReportFormat format = ReportFormat::kTable;
-  std::string json_path;
-  std::string csv_path;
-  std::string bench_dir;
-  std::string record_dir;
-  std::string replay_dir;
-  std::string hunt_dir;
-  std::string minimize_file;
-  std::vector<std::string> conform_dirs;
-  std::vector<std::string> predicates;
-  int trial = 0;
-  std::string out_path;
-  double soak_seconds = 0.0;
-  double rate = 0.0;
-  int shards = 0;  // 0 = keep the soak spec's own (default 1)
-  std::string soak_preset;
-  std::vector<int> pin_cpus;
-  std::string faults_spec;
-  std::uint64_t deadline_us = 0;
-  std::optional<int> retries;
-  std::uint64_t shed_backlog = 0;
-  std::string checkpoint_dir;
-  int checkpoint_every = 1;
-  std::string resume_dir;
-  bool progress = false;
-  bool quiet = false;
-  bool list = false;
-  bool help = false;
-};
-
-/// Returns std::nullopt and prints a diagnostic on malformed input.
-std::optional<CliArgs> parse_args(int argc, char** argv) {
-  CliArgs args;
-  const auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "rts_bench: %s needs a value\n", flag);
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const char* value = nullptr;
-    if (arg == "--list") {
-      args.list = true;
-    } else if (arg == "--help" || arg == "-h") {
-      args.help = true;
-    } else if (arg == "--progress") {
-      args.progress = true;
-    } else if (arg == "--quiet") {
-      args.quiet = true;
-    } else if (arg == "--preset") {
-      if ((value = need_value(i, "--preset")) == nullptr) return std::nullopt;
-      for (auto& name : split_csv(value)) args.presets.push_back(name);
-    } else if (arg == "--algos") {
-      if ((value = need_value(i, "--algos")) == nullptr) return std::nullopt;
-      args.algos = split_csv(value);
-    } else if (arg == "--adversaries") {
-      if ((value = need_value(i, "--adversaries")) == nullptr) {
-        return std::nullopt;
-      }
-      args.adversaries = split_csv(value);
-    } else if (arg == "--backend" || arg == "--backends") {
-      if ((value = need_value(i, "--backend")) == nullptr) {
-        return std::nullopt;
-      }
-      for (const std::string& name : split_csv(value)) {
-        const auto backend = exec::parse_backend(name);
-        if (!backend) {
-          std::fprintf(stderr,
-                       "rts_bench: unknown backend '%s' "
-                       "(expected sim or hw)\n",
-                       name.c_str());
-          return std::nullopt;
-        }
-        args.backends.push_back(*backend);
-      }
-    } else if (arg == "--rmr") {
-      if ((value = need_value(i, "--rmr")) == nullptr) return std::nullopt;
-      for (const std::string& name : split_csv(value)) {
-        rmr::RmrModel model;
-        if (!rmr::parse_rmr_model(name, &model)) {
-          std::fprintf(stderr,
-                       "rts_bench: unknown rmr model '%s' "
-                       "(expected none, cc, or dsm)\n",
-                       name.c_str());
-          return std::nullopt;
-        }
-        args.rmrs.push_back(model);
-      }
-    } else if (arg == "--ks") {
-      if ((value = need_value(i, "--ks")) == nullptr) return std::nullopt;
-      for (auto& k : split_csv(value)) {
-        const auto parsed = parse_integer_flag("--ks", k, 1, 1'000'000);
-        if (!parsed) return std::nullopt;
-        args.ks.push_back(static_cast<int>(*parsed));
-      }
-    } else if (arg == "--n") {
-      if ((value = need_value(i, "--n")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag("--n", value, 1, 1'000'000);
-      if (!parsed) return std::nullopt;
-      args.fixed_n = static_cast<int>(*parsed);
-    } else if (arg == "--trials") {
-      if ((value = need_value(i, "--trials")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag(
-          "--trials", value, 1, std::numeric_limits<int>::max());
-      if (!parsed) return std::nullopt;
-      args.trials = static_cast<int>(*parsed);
-    } else if (arg == "--seed") {
-      if ((value = need_value(i, "--seed")) == nullptr) return std::nullopt;
-      const auto parsed = parse_u64_flag("--seed", value, 0);
-      if (!parsed) return std::nullopt;
-      args.seed = *parsed;
-    } else if (arg == "--step-limit") {
-      if ((value = need_value(i, "--step-limit")) == nullptr) {
-        return std::nullopt;
-      }
-      const auto parsed = parse_u64_flag("--step-limit", value, 1);
-      if (!parsed) return std::nullopt;
-      args.step_limit = *parsed;
-    } else if (arg == "--workers") {
-      if ((value = need_value(i, "--workers")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag("--workers", value, 0, 4096);
-      if (!parsed) return std::nullopt;
-      args.workers = static_cast<int>(*parsed);
-    } else if (arg == "--time-budget") {
-      if ((value = need_value(i, "--time-budget")) == nullptr) {
-        return std::nullopt;
-      }
-      const auto parsed = parse_double_flag("--time-budget", value, 0.0);
-      if (!parsed) return std::nullopt;
-      args.time_budget = *parsed;
-    } else if (arg == "--format") {
-      if ((value = need_value(i, "--format")) == nullptr) return std::nullopt;
-      const auto format = parse_format(value);
-      if (!format) {
-        std::fprintf(stderr,
-                     "rts_bench: unknown format '%s' "
-                     "(expected table, jsonl, or csv)\n",
-                     value);
-        return std::nullopt;
-      }
-      args.format = *format;
-    } else if (arg == "--json") {
-      if ((value = need_value(i, "--json")) == nullptr) return std::nullopt;
-      args.json_path = value;
-    } else if (arg == "--csv") {
-      if ((value = need_value(i, "--csv")) == nullptr) return std::nullopt;
-      args.csv_path = value;
-    } else if (arg == "--bench") {
-      if ((value = need_value(i, "--bench")) == nullptr) return std::nullopt;
-      args.bench_dir = value;
-    } else if (arg == "--record") {
-      if ((value = need_value(i, "--record")) == nullptr) return std::nullopt;
-      args.record_dir = value;
-    } else if (arg == "--replay") {
-      if ((value = need_value(i, "--replay")) == nullptr) return std::nullopt;
-      args.replay_dir = value;
-    } else if (arg == "--hunt") {
-      if ((value = need_value(i, "--hunt")) == nullptr) return std::nullopt;
-      args.hunt_dir = value;
-    } else if (arg == "--minimize") {
-      if ((value = need_value(i, "--minimize")) == nullptr) {
-        return std::nullopt;
-      }
-      args.minimize_file = value;
-    } else if (arg == "--conform") {
-      if ((value = need_value(i, "--conform")) == nullptr) return std::nullopt;
-      for (auto& dir : split_csv(value)) args.conform_dirs.push_back(dir);
-    } else if (arg == "--pred") {
-      if ((value = need_value(i, "--pred")) == nullptr) return std::nullopt;
-      for (auto& spec : split_csv(value)) args.predicates.push_back(spec);
-    } else if (arg == "--trial") {
-      if ((value = need_value(i, "--trial")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag("--trial", value, 0,
-                                             std::numeric_limits<int>::max());
-      if (!parsed) return std::nullopt;
-      args.trial = static_cast<int>(*parsed);
-    } else if (arg == "--soak") {
-      if ((value = need_value(i, "--soak")) == nullptr) return std::nullopt;
-      const auto parsed = parse_double_flag("--soak", value, 0.0);
-      if (!parsed) return std::nullopt;
-      args.soak_seconds = *parsed;
-    } else if (arg == "--rate") {
-      if ((value = need_value(i, "--rate")) == nullptr) return std::nullopt;
-      const auto parsed = parse_double_flag("--rate", value, 0.0);
-      if (!parsed) return std::nullopt;
-      args.rate = *parsed;
-    } else if (arg == "--shards") {
-      if ((value = need_value(i, "--shards")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag("--shards", value, 1, 1024);
-      if (!parsed) return std::nullopt;
-      args.shards = static_cast<int>(*parsed);
-    } else if (arg == "--soak-preset") {
-      if ((value = need_value(i, "--soak-preset")) == nullptr) {
-        return std::nullopt;
-      }
-      args.soak_preset = value;
-    } else if (arg == "--pin") {
-      if ((value = need_value(i, "--pin")) == nullptr) return std::nullopt;
-      for (auto& cpu : split_csv(value)) {
-        const auto parsed = parse_integer_flag("--pin", cpu, 0, 4095);
-        if (!parsed) return std::nullopt;
-        args.pin_cpus.push_back(static_cast<int>(*parsed));
-      }
-    } else if (arg == "--faults") {
-      if ((value = need_value(i, "--faults")) == nullptr) return std::nullopt;
-      std::string error;
-      if (!fault::FaultPlan::parse(value, &error)) {
-        std::fprintf(stderr, "rts_bench: bad --faults spec: %s\n",
-                     error.c_str());
-        return std::nullopt;
-      }
-      args.faults_spec = value;
-    } else if (arg == "--deadline-us") {
-      if ((value = need_value(i, "--deadline-us")) == nullptr) {
-        return std::nullopt;
-      }
-      const auto parsed = parse_u64_flag("--deadline-us", value, 1);
-      if (!parsed) return std::nullopt;
-      args.deadline_us = *parsed;
-    } else if (arg == "--retries") {
-      if ((value = need_value(i, "--retries")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag(
-          "--retries", value, 0, std::numeric_limits<int>::max());
-      if (!parsed) return std::nullopt;
-      args.retries = static_cast<int>(*parsed);
-    } else if (arg == "--shed-backlog") {
-      if ((value = need_value(i, "--shed-backlog")) == nullptr) {
-        return std::nullopt;
-      }
-      const auto parsed = parse_u64_flag("--shed-backlog", value, 1);
-      if (!parsed) return std::nullopt;
-      args.shed_backlog = *parsed;
-    } else if (arg == "--checkpoint") {
-      if ((value = need_value(i, "--checkpoint")) == nullptr) {
-        return std::nullopt;
-      }
-      args.checkpoint_dir = value;
-    } else if (arg == "--checkpoint-every") {
-      if ((value = need_value(i, "--checkpoint-every")) == nullptr) {
-        return std::nullopt;
-      }
-      const auto parsed = parse_integer_flag(
-          "--checkpoint-every", value, 1, std::numeric_limits<int>::max());
-      if (!parsed) return std::nullopt;
-      args.checkpoint_every = static_cast<int>(*parsed);
-    } else if (arg == "--resume") {
-      if ((value = need_value(i, "--resume")) == nullptr) return std::nullopt;
-      args.resume_dir = value;
-    } else if (arg == "--out") {
-      if ((value = need_value(i, "--out")) == nullptr) return std::nullopt;
-      args.out_path = value;
-    } else {
-      std::fprintf(stderr, "rts_bench: unknown option '%s'\n", argv[i]);
-      return std::nullopt;
-    }
-  }
-  return args;
-}
-
 /// Builds the list of campaign specs the invocation asks for: the named
 /// presets, or one ad-hoc grid, with CLI overrides applied.
-bool collect_specs(const CliArgs& args, std::vector<CampaignSpec>* specs,
+void collect_specs(const CliArgs& args, std::vector<CampaignSpec>* specs,
                    std::vector<const Preset*>* preset_of) {
-  for (const std::string& name : args.presets) {
-    const Preset* preset = find_preset(name);
-    if (preset == nullptr) {
-      std::fprintf(stderr, "rts_bench: unknown preset '%s' (try --list)\n",
-                   name.c_str());
-      return false;
-    }
+  for (const Preset* preset : args.presets) {
     specs->push_back(preset->spec);
     preset_of->push_back(preset);
   }
   if (!args.algos.empty()) {
     CampaignSpec spec;
     spec.name = "adhoc";
-    for (const std::string& name : args.algos) {
-      const auto id = algo::parse_algorithm(name);
-      if (!id) {
-        std::fprintf(stderr, "rts_bench: unknown algorithm '%s' (try --list)\n",
-                     name.c_str());
-        return false;
-      }
-      spec.algorithms.push_back(*id);
-    }
-    const std::vector<std::string> adversaries =
-        args.adversaries.empty() ? std::vector<std::string>{"random"}
-                                 : args.adversaries;
-    for (const std::string& name : adversaries) {
-      const auto id = algo::parse_adversary(name);
-      if (!id) {
-        std::fprintf(stderr, "rts_bench: unknown adversary '%s' (try --list)\n",
-                     name.c_str());
-        return false;
-      }
-      spec.adversaries.push_back(*id);
+    spec.algorithms = args.algos;
+    spec.adversaries = args.adversaries;
+    if (spec.adversaries.empty()) {
+      spec.adversaries.push_back(algo::AdversaryId::kUniformRandom);
     }
     spec.ks = args.ks.empty() ? standard_contention_sweep() : args.ks;
     spec.fixed_n = args.fixed_n;
@@ -557,7 +645,6 @@ bool collect_specs(const CliArgs& args, std::vector<CampaignSpec>* specs,
     if (!args.ks.empty()) spec.ks = args.ks;
     if (args.fixed_n > 0) spec.fixed_n = args.fixed_n;
   }
-  return true;
 }
 
 /// Writes the BENCH_<name>.json trajectory document for one campaign run.
@@ -637,25 +724,10 @@ class Sink {
   bool needs_close_ = false;
 };
 
-/// Parses the --pred list; `fallback` fills in when none was given.
-/// std::nullopt + diagnostic on a malformed or unknown spec.
-std::optional<std::vector<sim::PredicateSpec>> parse_predicates(
-    const std::vector<std::string>& specs, const char* fallback) {
-  std::vector<sim::PredicateSpec> parsed;
-  if (specs.empty()) {
-    parsed.push_back(*sim::parse_predicate_spec(fallback));
-    return parsed;
-  }
-  for (const std::string& text : specs) {
-    const auto spec = sim::parse_predicate_spec(text);
-    if (!spec) {
-      std::fprintf(stderr, "rts_bench: unknown predicate '%s' (try --list)\n",
-                   text.c_str());
-      return std::nullopt;
-    }
-    parsed.push_back(*spec);
-  }
-  return parsed;
+/// The --pred list, or max-steps when none was given.
+std::vector<sim::PredicateSpec> predicates_of(const CliArgs& args) {
+  if (!args.predicates.empty()) return args.predicates;
+  return {*sim::parse_predicate_spec("max-steps")};
 }
 
 int run_conform(const std::vector<std::string>& dirs) {
@@ -685,12 +757,6 @@ int run_minimize(const CliArgs& args) {
                  args.trial, cell.trials.size());
     return 2;
   }
-  const auto predicates = parse_predicates(args.predicates, "max-steps");
-  if (!predicates) return 2;
-  if (predicates->size() != 1) {
-    std::fprintf(stderr, "rts_bench: --minimize takes exactly one --pred\n");
-    return 2;
-  }
   const auto id = algo::parse_algorithm(cell.algorithm);
   if (!id || !algo::supports(*id, exec::Backend::kSim)) {
     std::fprintf(stderr, "rts_bench: trace algorithm '%s' has no sim factory\n",
@@ -700,7 +766,7 @@ int run_minimize(const CliArgs& args) {
   const sim::LeBuilder builder = algo::sim_builder(*id);
   const auto trial_index = static_cast<std::size_t>(args.trial);
 
-  sim::PredicateSpec spec = predicates->front();
+  sim::PredicateSpec spec = predicates_of(args).front();
   try {
     if (!spec.threshold.has_value() &&
         sim::predicate_family_thresholded(spec.family)) {
@@ -758,10 +824,8 @@ int run_minimize(const CliArgs& args) {
 }
 
 int run_hunt_mode(const CliArgs& args, const std::vector<CampaignSpec>& specs) {
-  const auto predicates = parse_predicates(args.predicates, "max-steps");
-  if (!predicates) return 2;
   HuntOptions options;
-  options.predicates = *predicates;
+  options.predicates = predicates_of(args);
 
   std::vector<HuntedCell> all;
   try {
@@ -808,14 +872,8 @@ int run_hunt_mode(const CliArgs& args, const std::vector<CampaignSpec>& specs) {
 
 int run_soak_mode(const CliArgs& args) {
   SoakSpec spec;
-  if (!args.soak_preset.empty()) {
-    const SoakPreset* preset = find_soak_preset(args.soak_preset);
-    if (preset == nullptr) {
-      std::fprintf(stderr, "rts_bench: unknown soak preset '%s' (try --list)\n",
-                   args.soak_preset.c_str());
-      return 2;
-    }
-    spec = preset->spec;
+  if (args.soak_preset != nullptr) {
+    spec = args.soak_preset->spec;
   } else {
     // Ad-hoc soak: borrow the smoke preset's algorithm pair and knobs as
     // defaults; --soak/--rate/--algos/... override below.
@@ -824,40 +882,22 @@ int run_soak_mode(const CliArgs& args) {
   }
   if (args.soak_seconds > 0.0) spec.duration_seconds = args.soak_seconds;
   if (args.rate > 0.0) spec.rate = args.rate;
-  if (!args.algos.empty()) {
-    spec.algorithms.clear();
-    for (const std::string& name : args.algos) {
-      const auto id = algo::parse_algorithm(name);
-      if (!id) {
-        std::fprintf(stderr, "rts_bench: unknown algorithm '%s' (try --list)\n",
-                     name.c_str());
-        return 2;
-      }
-      if (!algo::supports(*id, exec::Backend::kHw)) {
-        std::fprintf(stderr,
-                     "rts_bench: algorithm '%s' has no hardware backend "
-                     "(soak is hw-only)\n",
-                     name.c_str());
-        return 2;
-      }
-      spec.algorithms.push_back(*id);
-    }
-  }
-  if (!args.ks.empty()) {
-    if (args.ks.size() != 1) {
+  for (const algo::AlgorithmId id : args.algos) {
+    if (!algo::supports(id, exec::Backend::kHw)) {
       std::fprintf(stderr,
-                   "rts_bench: soak mode takes exactly one --ks value\n");
+                   "rts_bench: algorithm '%s' has no hardware backend (soak "
+                   "is hw-only)\n",
+                   algo::info(id).name);
       return 2;
     }
-    spec.k = args.ks.front();
   }
+  if (!args.algos.empty()) spec.algorithms = args.algos;
+  if (!args.ks.empty()) spec.k = args.ks.front();
   if (args.fixed_n > 0) spec.n = args.fixed_n;
   if (args.seed) spec.seed = *args.seed;
   if (args.step_limit) spec.step_limit = *args.step_limit;
   if (!args.pin_cpus.empty()) spec.pin_cpus = args.pin_cpus;
-  if (!args.faults_spec.empty()) {
-    spec.faults = *fault::FaultPlan::parse(args.faults_spec, nullptr);
-  }
+  if (!args.faults.spec.empty()) spec.faults = args.faults;
   if (args.deadline_us > 0) spec.deadline_ns = args.deadline_us * 1000;
   if (args.retries) spec.max_retries = *args.retries;
   if (args.shed_backlog > 0) spec.shed_backlog = args.shed_backlog;
@@ -911,143 +951,69 @@ int run_soak_mode(const CliArgs& args) {
   }
   return 0;
 }
-
 }  // namespace
 
-CampaignResult run_preset(std::string_view name,
-                          const ExecutorOptions& options) {
-  const Preset* preset = find_preset(name);
-  RTS_REQUIRE(preset != nullptr, "unknown campaign preset");
-  print_banner(*preset);
-  CampaignResult result = run_campaign(preset->spec, options);
-  report_table(result, stdout);
-  return result;
+const char* cli_mode_name(CliMode mode) {
+  for (const ModeInfo& info : kModes) {
+    if (info.mode == mode) return info.name;
+  }
+  return "?";
+}
+
+std::span<const CliFlag> cli_flags() {
+  static const std::vector<CliFlag> table = make_flag_table();
+  return table;
 }
 
 int run_cli(int argc, char** argv) {
   const std::optional<CliArgs> parsed = parse_args(argc, argv);
   if (!parsed) {
-    print_usage(stderr);
+    print_help(stderr);
     return 2;
   }
   const CliArgs& args = *parsed;
   if (args.help) {
-    print_usage(stdout);
+    print_help(stdout);
     return 0;
   }
   if (args.list) {
     print_list();
     return 0;
   }
-  // Soak mode: its own driver, mutually exclusive with the campaign grid
-  // and every trace-tooling mode.
-  const bool soak = args.soak_seconds > 0.0 || !args.soak_preset.empty();
-  if (soak) {
-    if (!args.presets.empty() || !args.conform_dirs.empty() ||
-        !args.minimize_file.empty() || !args.hunt_dir.empty() ||
-        !args.record_dir.empty() || !args.replay_dir.empty() ||
-        !args.adversaries.empty()) {
-      std::fprintf(stderr,
-                   "rts_bench: --soak/--soak-preset cannot be combined with "
-                   "--preset/--hunt/--minimize/--conform/--record/--replay/"
-                   "--adversaries (soak is an open-loop hw driver; use "
-                   "--soak-preset for canned configurations)\n");
-      return 2;
-    }
-    if (!args.checkpoint_dir.empty() || !args.resume_dir.empty()) {
-      std::fprintf(stderr,
-                   "rts_bench: --checkpoint/--resume only apply to campaign "
-                   "runs (a soak is a live service, not a resumable grid)\n");
-      return 2;
-    }
-    return run_soak_mode(args);
-  }
-  if (args.rate > 0.0) {
-    std::fprintf(stderr, "rts_bench: --rate only applies to --soak\n");
-    return 2;
-  }
-  if (args.shed_backlog > 0) {
-    std::fprintf(stderr, "rts_bench: --shed-backlog only applies to --soak\n");
-    return 2;
-  }
-  if (args.shards > 0) {
-    std::fprintf(stderr, "rts_bench: --shards only applies to --soak\n");
-    return 2;
-  }
-  if (!args.checkpoint_dir.empty() && !args.resume_dir.empty()) {
-    std::fprintf(stderr,
-                 "rts_bench: use either --checkpoint DIR (fresh run) or "
-                 "--resume DIR (continue into the same directory), not "
-                 "both\n");
-    return 2;
-  }
-  if ((!args.checkpoint_dir.empty() || !args.resume_dir.empty()) &&
-      (!args.record_dir.empty() || !args.replay_dir.empty())) {
-    std::fprintf(stderr,
-                 "rts_bench: --checkpoint/--resume cannot be combined with "
-                 "--record/--replay\n");
-    return 2;
-  }
-  // Trace-tooling modes: mutually exclusive, with their satellite flags
-  // rejected outside them instead of silently ignored.
-  const int modes = (!args.conform_dirs.empty() ? 1 : 0) +
-                    (!args.minimize_file.empty() ? 1 : 0) +
-                    (!args.hunt_dir.empty() ? 1 : 0);
-  if (modes > 1) {
+  if (given(args, "--hunt") + given(args, "--minimize") +
+          given(args, "--conform") > 1) {
     std::fprintf(stderr,
                  "rts_bench: --hunt, --minimize, and --conform are mutually "
                  "exclusive\n");
     return 2;
   }
-  if (modes == 0 &&
-      (!args.predicates.empty() || args.trial != 0 || !args.out_path.empty())) {
-    std::fprintf(stderr,
-                 "rts_bench: --pred/--trial/--out only apply to --hunt and "
-                 "--minimize\n");
+  const CliMode mode = mode_of(args);
+  for (const CliFlag* flag : args.given) {
+    if ((flag->modes & mode) == 0) {
+      std::fprintf(stderr, "rts_bench: %s does not apply to %s\n", flag->name,
+                   cli_mode_name(mode));
+      return 2;
+    }
+  }
+  if (const char* problem = broken_rule(args, mode)) {
+    std::fprintf(stderr, "rts_bench: %s\n", problem);
     return 2;
   }
-  if (!args.conform_dirs.empty() &&
-      (!args.predicates.empty() || args.trial != 0 ||
-       !args.out_path.empty())) {
-    std::fprintf(stderr,
-                 "rts_bench: --conform takes no --pred/--trial/--out\n");
-    return 2;
-  }
-  if (!args.hunt_dir.empty() && (args.trial != 0 || !args.out_path.empty())) {
-    std::fprintf(stderr, "rts_bench: --trial/--out only apply to --minimize\n");
-    return 2;
-  }
-  if (modes > 0 && (!args.record_dir.empty() || !args.replay_dir.empty())) {
-    std::fprintf(stderr,
-                 "rts_bench: --record/--replay cannot be combined with "
-                 "--hunt/--minimize/--conform (a hunt records its own "
-                 "traces)\n");
-    return 2;
-  }
-  if ((!args.conform_dirs.empty() || !args.minimize_file.empty()) &&
-      (!args.presets.empty() || !args.algos.empty())) {
-    std::fprintf(stderr,
-                 "rts_bench: --conform/--minimize work on trace files and "
-                 "take no --preset/--algos\n");
-    return 2;
-  }
-  if (!args.conform_dirs.empty()) return run_conform(args.conform_dirs);
-  if (!args.minimize_file.empty()) return run_minimize(args);
-  if (args.presets.empty() && args.algos.empty()) {
+  const bool has_grid = !args.presets.empty() || !args.algos.empty();
+  if ((mode == kConformMode && args.conform_dirs.empty()) ||
+      ((mode == kCampaignMode || mode == kHuntMode) && !has_grid)) {
     std::fprintf(stderr, "rts_bench: nothing to run\n\n");
-    print_usage(stderr);
+    print_help(stderr);
     return 2;
   }
-  if (!args.record_dir.empty() && !args.replay_dir.empty()) {
-    std::fprintf(stderr,
-                 "rts_bench: --record and --replay are mutually exclusive\n");
-    return 2;
-  }
+  if (mode == kSoakMode) return run_soak_mode(args);
+  if (mode == kConformMode) return run_conform(args.conform_dirs);
+  if (mode == kMinimizeMode) return run_minimize(args);
 
   std::vector<CampaignSpec> specs;
   std::vector<const Preset*> preset_of;
-  if (!collect_specs(args, &specs, &preset_of)) return 2;
-  if (!args.hunt_dir.empty()) return run_hunt_mode(args, specs);
+  collect_specs(args, &specs, &preset_of);
+  if (mode == kHuntMode) return run_hunt_mode(args, specs);
 
   bool any_extended = false;
   bool any_rmr = false;
@@ -1079,9 +1045,7 @@ int run_cli(int argc, char** argv) {
     if (!args.replay_dir.empty()) {
       options.replay_dir = args.replay_dir + "/" + spec.name;
     }
-    if (!args.faults_spec.empty()) {
-      options.fault_plan = *fault::FaultPlan::parse(args.faults_spec, nullptr);
-    }
+    options.fault_plan = args.faults;
     options.hw_deadline_ns = args.deadline_us * 1000;
     if (args.retries) options.hw_max_retries = *args.retries;
     options.checkpoint_every = args.checkpoint_every;
