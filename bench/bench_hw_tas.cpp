@@ -1,5 +1,7 @@
-// Experiment E10: hardware microbenchmark -- one-shot election wall time vs
-// thread count, which needs google-benchmark's timing loop rather than a
+// Experiment E10: hardware microbenchmark -- election wall time vs thread
+// count on a persistent HwTrialPool (one pool per algorithm and thread
+// count, built outside the timing loop, so each iteration is one pooled
+// election), which needs google-benchmark's timing loop rather than a
 // trial grid.  The grid half (mean shared-ops per election across all
 // hw-capable algorithms vs the native atomic baseline) is the `hw-smoke`
 // preset: `rts_bench --preset hw-smoke`.
@@ -17,10 +19,11 @@ using namespace rts;
 
 void bench_algorithm(benchmark::State& state, algo::AlgorithmId id) {
   const int k = static_cast<int>(state.range(0));
+  hw::HwTrialPool pool(k);
   std::uint64_t seed = 1;
   std::uint64_t violations = 0;
   for (auto _ : state) {
-    const hw::HwRunResult r = hw::run_hw_le(id, k, seed++);
+    const hw::HwRunResult r = pool.run(id, k, seed++);
     if (!r.violations.empty()) ++violations;
     benchmark::DoNotOptimize(r.winners);
   }

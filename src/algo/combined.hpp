@@ -155,7 +155,7 @@ class CombinedLe final : public ILeaderElect<P> {
     fiber::MmapStack rr;
     fiber::MmapStack a;
     ~ChildStacks() {
-      // Back to the thread-local pool (a no-op for never-mapped slots), so
+      // Back to the process-wide pool (a no-op for never-mapped slots), so
       // the fresh-kernel path keeps recycling child stacks across trials.
       fiber::release_stack(std::move(rr));
       fiber::release_stack(std::move(a));

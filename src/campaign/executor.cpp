@@ -18,17 +18,12 @@
 #include "sim/adversaries.hpp"
 #include "sim/trace.hpp"
 #include "support/assert.hpp"
-#include "support/rng.hpp"
 
 namespace rts::campaign {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Seed-stream salt for hw retry attempts (mirrors the soak driver's):
-/// attempt a > 0 of a trial runs on derive_seed(trial_seed, kRetrySalt + a).
-constexpr std::uint64_t kRetrySalt = 0xfa01'7e72;
 
 /// A worker's contiguous slice of the flattened trial index space.
 struct Slice {
@@ -288,43 +283,16 @@ CampaignResult run_campaign(const CampaignSpec& spec,
               std::make_unique<hw::HwTrialPool>(cell.k, pool_options);
           hw_pool.cell_index = cell.index;
         }
+        // The pool runs the deadline/retry service; a trial still timed
+        // out after its retries is reported as such, never as a completion.
         hw::HwRunOptions run_options;
         run_options.step_limit = cell.step_limit;
         run_options.deadline_ns = options.hw_deadline_ns;
-        // Deadline + retry service: a timed-out election is cancelled by
-        // the pool watchdog and retried on a salted seed (fresh fault
-        // coins each attempt) under capped, jittered backoff.  The final
-        // attempt's summary is kept either way -- a still-timed-out trial
-        // is reported as such, never as a fabricated completion.
-        const std::uint64_t trial_seed = sim::trial_seed(cell.seed0, trial);
-        const bool chaos = options.fault_plan.active();
-        hw::HwRunResult run;
-        int attempt = 0;
-        for (;; ++attempt) {
-          const std::uint64_t attempt_seed =
-              attempt == 0
-                  ? trial_seed
-                  : support::derive_seed(
-                        trial_seed,
-                        kRetrySalt + static_cast<std::uint64_t>(attempt));
-          fault::TrialFaults trial_faults;
-          if (chaos) {
-            trial_faults = options.fault_plan.for_trial(attempt_seed, cell.k);
-            run_options.faults = &trial_faults;
-          }
-          run = hw_pool.pool->run(cell.algorithm, cell.n, attempt_seed,
-                                  run_options);
-          run_options.faults = nullptr;
-          if (!run.timed_out || attempt >= options.hw_max_retries) break;
-          const std::uint64_t pause_us =
-              options.backoff.delay_us(attempt + 1, trial_seed);
-          if (pause_us > 0) {
-            std::this_thread::sleep_for(std::chrono::microseconds(pause_us));
-          }
-        }
-        exec::TrialSummary summary = hw::summarize_trial(run);
-        summary.retries = attempt;
-        return summary;
+        run_options.max_retries = options.hw_max_retries;
+        run_options.backoff = options.backoff;
+        run_options.plan = &options.fault_plan;
+        return hw::summarize_trial(hw_pool.pool->run_trial(
+            cell.algorithm, cell.n, trial, cell.seed0, run_options));
       });
       continue;
     }

@@ -8,11 +8,12 @@
 // its own runs dry.
 //
 // Hardware cells run through the same claim loop but are pinned to
-// one-at-a-time execution behind a mutex: an hw trial spawns k real threads
-// and measures their contention, so overlapping two hw trials (or an hw
-// trial with another worker's hw trial) would dishonestly inflate the
-// thread count under measurement.  Sim trials keep running concurrently
-// around them.
+// one-at-a-time execution behind a mutex: an hw trial releases k real
+// threads (the cell's hw::HwTrialPool) and measures their contention, so
+// overlapping two hw trials (or an hw trial with another worker's hw
+// trial) would dishonestly inflate the thread count under measurement.
+// Sim trials keep running concurrently around them.  Each hw trial is one
+// HwTrialPool::run call, which also runs the deadline/retry loop soaks use.
 //
 // Determinism: workers only *compute* trial summaries (into preallocated
 // slots); aggregation happens afterwards on the calling thread, in trial
@@ -81,8 +82,9 @@ struct ExecutorOptions {
   fault::FaultPlan fault_plan;
   /// Per-election wall-clock deadline for hw trials; 0 disables.  A
   /// timed-out trial is retried (fresh seed-derived faults each attempt) up
-  /// to hw_max_retries times, paced by `backoff`; the final attempt's
-  /// summary is kept either way, with retries / timed_out recorded.
+  /// to hw_max_retries times, paced by `backoff` (see hw::HwRunOptions);
+  /// the final attempt's outcomes are kept either way, with retries /
+  /// timed_out recorded, and a violation on any attempt is reported.
   std::uint64_t hw_deadline_ns = 0;
   int hw_max_retries = 2;
   fault::BackoffPolicy backoff;

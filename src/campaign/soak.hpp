@@ -19,7 +19,9 @@
 // shed -- and `retried` counts the extra attempts; arrivals still queued
 // when the wall deadline expires are simply not handled (the served vs
 // planned gap the table has always shown).  Latency is recorded only for
-// completed elections (honest absence, never fabricated success).
+// completed elections (honest absence, never fabricated success).  The
+// deadline/retry loop is HwTrialPool::run's, one call per arrival, the
+// same loop campaign hw cells use.
 //
 // The service is *sharded* (`shards`): N persistent HwTrialPool arenas,
 // each with its own k participant threads, CPU-pinning partition, perf

@@ -51,7 +51,7 @@ TrialWorkspace::Stream& TrialWorkspace::prepare(
       if (streams_[i]->last_used < streams_[victim]->last_used) victim = i;
     }
     // Tearing the stream down releases its fibers' stacks into the
-    // thread-local pool, where the replacement stream's build reclaims them.
+    // process-wide pool, where the replacement stream's build reclaims them.
     streams_.erase(streams_.begin() + static_cast<std::ptrdiff_t>(victim));
   }
 

@@ -54,7 +54,7 @@ class TrialWorkspace {
  public:
   struct Options {
     /// Prepared streams kept alive at once; least-recently-used streams are
-    /// torn down beyond this (their stacks return to the thread-local fiber
+    /// torn down beyond this (their stacks return to the process-wide fiber
     /// pool, so the next stream build skips the mmap round-trip too).
     std::size_t max_prepared = 8;
   };

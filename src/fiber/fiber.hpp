@@ -105,9 +105,9 @@ class Fiber final : public ExecutionContext {
   explicit Fiber(std::function<void()> fn,
                  std::size_t stack_bytes = kDefaultStackBytes);
   /// Adopts a caller-owned stack instead of acquiring one from the
-  /// thread-local pool: workspace pools hand mappings straight to the next
+  /// process-wide pool: workspace pools hand mappings straight to the next
   /// fiber with no acquire/release round-trip.  The stack is released back to
-  /// the thread-local pool on destruction like any other fiber stack.
+  /// the pool on destruction like any other fiber stack.
   Fiber(std::function<void()> fn, MmapStack stack);
   /// Runs on a *borrowed* stack: ownership stays with the caller, so the
   /// mapping survives even if this Fiber object is abandoned without

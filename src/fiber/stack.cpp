@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -77,7 +78,8 @@ struct StackPool {
     std::size_t size = 0;
     std::vector<MmapStack> free;
   };
-  std::vector<Bucket> buckets;
+  std::mutex mu;
+  std::vector<Bucket> buckets;  // guarded by mu
 
   Bucket& bucket_for(std::size_t size) {
     for (Bucket& b : buckets) {
@@ -89,26 +91,34 @@ struct StackPool {
 };
 
 StackPool& pool() {
-  thread_local StackPool instance;
-  return instance;
+  // Never destroyed, so a stack released during static destruction (or by
+  // a thread exiting after main returns) still finds its pool.
+  static StackPool* const instance = new StackPool;
+  return *instance;
 }
 
 }  // namespace
 
 MmapStack acquire_stack(std::size_t usable_bytes) {
-  auto& bucket = pool().bucket_for(usable_bytes);
-  if (!bucket.free.empty()) {
-    MmapStack stack = std::move(bucket.free.back());
-    bucket.free.pop_back();
-    return stack;
+  {
+    StackPool& stacks = pool();
+    std::lock_guard<std::mutex> lock(stacks.mu);
+    auto& bucket = stacks.bucket_for(usable_bytes);
+    if (!bucket.free.empty()) {
+      MmapStack stack = std::move(bucket.free.back());
+      bucket.free.pop_back();
+      return stack;
+    }
   }
-  return MmapStack(usable_bytes);
+  return MmapStack(usable_bytes);  // map outside the lock
 }
 
 void release_stack(MmapStack stack) noexcept {
   if (stack.base() == nullptr) return;  // moved-from / never mapped
   constexpr std::size_t kMaxPooledPerSize = 16384;
-  auto& bucket = pool().bucket_for(stack.size());
+  StackPool& stacks = pool();
+  std::lock_guard<std::mutex> lock(stacks.mu);
+  auto& bucket = stacks.bucket_for(stack.size());
   if (bucket.free.size() < kMaxPooledPerSize) {
     bucket.free.push_back(std::move(stack));
   }

@@ -35,15 +35,18 @@ class MmapStack {
   std::size_t usable_bytes_ = 0;
 };
 
-/// Thread-local stack recycling.  The model checker constructs and destroys
+/// Process-wide stack recycling.  The model checker constructs and destroys
 /// fibers millions of times; reusing mappings avoids mmap/mprotect on every
-/// execution.  Stacks are pooled per thread (no locking) and only handed out
-/// for the exact usable size requested.
+/// execution.  One pool behind one mutex serves every thread, so a stack
+/// mapped on one thread and released on another (a combiner's child stacks
+/// on hw: acquired by a participant, released by the thread that destroys
+/// the election) is reused, not hoarded.  Stacks are only handed out for
+/// the exact usable size requested, and at most 16384 per size are kept.
 MmapStack acquire_stack(std::size_t usable_bytes);
 void release_stack(MmapStack stack) noexcept;
 
 /// Number of stack mappings currently alive in the whole process, whether in
-/// use by a fiber or parked in a thread-local pool.  Observability for the
+/// use by a fiber or parked in the pool.  Observability for the
 /// abandoned-fiber leak regression tests: a schedule that abandons fibers
 /// owning their stacks would grow this count without bound.
 std::size_t live_stack_count();

@@ -1,5 +1,6 @@
 #include "hw/harness.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
@@ -89,174 +90,6 @@ std::unique_ptr<algo::ILeaderElect<HwPlatform>> make_hw_le(
   return nullptr;
 }
 
-namespace {
-
-/// One participant's election, shared by the fresh harness and the pooled
-/// runner.  A StepLimitReached abort leaves the outcome kUnknown and is
-/// reported through the return value (true = aborted on the budget); an
-/// ElectionCancelled unwind (the deadline watchdog) likewise leaves the
-/// outcome kUnknown and sets *cancelled.  `fault` deals this participant
-/// its chaos-plan faults (null = none): a no-show returns without electing,
-/// a delay sleeps before the first shared op, a stall arms the context's
-/// one-shot mid-election sleep.
-bool run_participant(algo::ILeaderElect<HwPlatform>* le,
-                     std::atomic<std::uint64_t>& native_bit, int pid,
-                     std::uint64_t seed, std::uint64_t step_limit,
-                     const std::atomic<bool>* cancel,
-                     const fault::ParticipantFault* fault,
-                     sim::Outcome* outcome, std::uint64_t* ops,
-                     bool* cancelled) {
-  if (fault != nullptr && fault->no_show) return false;  // ops stay 0
-  support::PrngSource rng(
-      support::derive_seed(seed, static_cast<std::uint64_t>(pid)));
-  HwPlatform::Context ctx(pid, rng);
-  ctx.set_step_limit(step_limit);
-  if (cancel != nullptr) ctx.set_cancel_flag(cancel);
-  if (fault != nullptr && fault->stall_us > 0) {
-    ctx.set_stall(fault->stall_after_op, fault->stall_us);
-  }
-  if (fault != nullptr && fault->delay_us > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(fault->delay_us));
-  }
-  bool aborted = false;
-  try {
-    if (le != nullptr) {
-      *outcome = le->elect(ctx);
-    } else {
-      // Native baseline: atomic exchange is a hardware TAS.
-      *outcome = native_bit.exchange(1, std::memory_order_seq_cst) == 0
-                     ? sim::Outcome::kWin
-                     : sim::Outcome::kLose;
-      ctx.on_op();
-    }
-  } catch (const StepLimitReached&) {
-    aborted = true;  // over budget: outcome stays kUnknown
-  } catch (const ElectionCancelled&) {
-    *cancelled = true;  // deadline fired: outcome stays kUnknown
-  }
-  *ops = ctx.ops();
-  return aborted;
-}
-
-/// Post-run accounting shared by the fresh harness and the pooled runner:
-/// winner count, the safety check, and the completeness verdict.  An
-/// incomplete (watchdog-aborted or deadline-cancelled) run legitimately has
-/// no winner; only a complete run without exactly one is a violation,
-/// mirroring the sim harness's liveness rule.  Safety still holds
-/// unconditionally: two winners violate even on a cancelled run.
-void finalize_hw_result(HwRunResult& result, std::size_t registers,
-                        double wall_seconds, bool aborted, bool timed_out) {
-  result.wall_seconds = wall_seconds;
-  result.registers = registers;
-  result.timed_out = timed_out;
-  result.completed = !aborted && !timed_out;
-  for (const sim::Outcome outcome : result.outcomes) {
-    if (outcome == sim::Outcome::kWin) ++result.winners;
-  }
-  if (result.winners > 1 || (result.completed && result.winners != 1)) {
-    result.violations.push_back(
-        "hardware run must elect exactly one winner, got " +
-        std::to_string(result.winners));
-  }
-}
-
-/// The participant-side fault slice for pid, plus planned-count bookkeeping
-/// on the result.
-const fault::ParticipantFault* fault_for(const fault::TrialFaults* faults,
-                                         int pid) {
-  if (faults == nullptr ||
-      static_cast<std::size_t>(pid) >= faults->participants.size()) {
-    return nullptr;
-  }
-  const fault::ParticipantFault& fault =
-      faults->participants[static_cast<std::size_t>(pid)];
-  return fault.any() ? &fault : nullptr;
-}
-
-void count_faults(HwRunResult& result, const fault::TrialFaults* faults) {
-  if (faults == nullptr) return;
-  result.no_shows = faults->no_shows;
-  result.stalls = faults->stalls;
-  result.delays = faults->delays;
-}
-
-}  // namespace
-
-HwRunResult run_hw_le(algo::AlgorithmId id, int n, int k, std::uint64_t seed,
-                      HwRunOptions options) {
-  RTS_REQUIRE(k >= 1 && k <= n, "need 1 <= k <= n threads");
-  HwRunResult result;
-  result.n = n;
-  result.k = k;
-  result.outcomes.assign(static_cast<std::size_t>(k), sim::Outcome::kUnknown);
-  result.ops.assign(static_cast<std::size_t>(k), 0);
-
-  RegisterPool pool;
-  HwPlatform::Arena arena(pool);
-  std::unique_ptr<algo::ILeaderElect<HwPlatform>> le =
-      make_hw_le(id, arena, n);
-  result.declared_registers = le != nullptr ? le->declared_registers() : 1;
-  std::atomic<std::uint64_t> native_bit{0};
-  std::atomic<int> aborted{0};
-  std::atomic<int> cancelled{0};
-  std::atomic<bool> cancel{false};
-
-  // Scoped deadline watchdog: arms the cancel flag unless the completion
-  // barrier is crossed first (the pool keeps a persistent one instead).
-  std::mutex watchdog_mu;
-  std::condition_variable watchdog_cv;
-  bool finished = false;
-  std::jthread watchdog;
-  if (options.deadline_ns > 0) {
-    watchdog = std::jthread([&] {
-      std::unique_lock<std::mutex> lock(watchdog_mu);
-      if (!watchdog_cv.wait_for(lock,
-                                std::chrono::nanoseconds(options.deadline_ns),
-                                [&] { return finished; })) {
-        cancel.store(true, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  std::barrier gate(k + 1);
-  std::vector<std::jthread> threads;
-  threads.reserve(static_cast<std::size_t>(k));
-  for (int pid = 0; pid < k; ++pid) {
-    threads.emplace_back([&, pid] {
-      gate.arrive_and_wait();
-      bool was_cancelled = false;
-      if (run_participant(le.get(), native_bit, pid, seed, options.step_limit,
-                          options.deadline_ns > 0 ? &cancel : nullptr,
-                          fault_for(options.faults, pid),
-                          &result.outcomes[static_cast<std::size_t>(pid)],
-                          &result.ops[static_cast<std::size_t>(pid)],
-                          &was_cancelled)) {
-        aborted.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (was_cancelled) cancelled.fetch_add(1, std::memory_order_relaxed);
-      gate.arrive_and_wait();
-    });
-  }
-
-  gate.arrive_and_wait();  // release the threads
-  const auto start = std::chrono::steady_clock::now();
-  gate.arrive_and_wait();  // wait for completion
-  const auto end = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lock(watchdog_mu);
-    finished = true;
-  }
-  watchdog_cv.notify_all();
-  threads.clear();  // join
-
-  count_faults(result, options.faults);
-  finalize_hw_result(result, pool.allocated(),
-                     std::chrono::duration<double>(end - start).count(),
-                     aborted.load(std::memory_order_relaxed) > 0,
-                     cancelled.load(std::memory_order_relaxed) > 0);
-  return result;
-}
-
 exec::TrialSummary summarize_trial(const HwRunResult& result) {
   exec::TrialSummary trial;
   trial.backend = exec::Backend::kHw;
@@ -274,6 +107,7 @@ exec::TrialSummary summarize_trial(const HwRunResult& result) {
   }
   trial.completed = result.completed;
   trial.timed_out = result.timed_out;
+  trial.retries = result.retries;
   trial.wall_seconds = result.wall_seconds;
   trial.latency = static_cast<std::uint64_t>(
       std::llround(result.wall_seconds * 1e9));  // wall-clock nanoseconds
@@ -281,11 +115,6 @@ exec::TrialSummary summarize_trial(const HwRunResult& result) {
     trial.first_violation = result.violations.front();
   }
   return trial;
-}
-
-HwRunResult run_hw_trial(algo::AlgorithmId id, int n, int k, int trial,
-                         std::uint64_t seed0, HwRunOptions options) {
-  return run_hw_le(id, n, k, sim::trial_seed(seed0, trial), options);
 }
 
 namespace {
@@ -370,10 +199,10 @@ void HwTrialPool::watchdog_main() {
 }
 
 void HwTrialPool::participant(int pid) {
+  const auto slot = static_cast<std::size_t>(pid);
   if (!pool_options_.pin_cpus.empty()) {
     pin_current_thread(
-        pool_options_.pin_cpus[static_cast<std::size_t>(pid) %
-                               pool_options_.pin_cpus.size()]);
+        pool_options_.pin_cpus[slot % pool_options_.pin_cpus.size()]);
   }
   // The counter group is opened by (and bound to) this thread, so campaign
   // workers running sim cells never leak cycles into hw measurements.
@@ -399,17 +228,42 @@ void HwTrialPool::participant(int pid) {
     }
     gate_.arrive_and_wait();  // start line: the trial timer begins here
     if (perf) perf->start();
-    bool was_cancelled = false;
-    if (run_participant(le_, *native_bit_, pid, seed_, step_limit_,
-                        deadline_armed_ ? &cancel_ : nullptr,
-                        fault_for(faults_, pid),
-                        &(*outcomes_)[static_cast<std::size_t>(pid)],
-                        &(*ops_)[static_cast<std::size_t>(pid)],
-                        &was_cancelled)) {
-      aborted_.fetch_add(1, std::memory_order_relaxed);
+    // This participant's chaos-plan faults: a no-show skips the election
+    // (ops stay 0), a delay sleeps before the first shared op, a stall arms
+    // the context's one-shot mid-election sleep.
+    const fault::ParticipantFault* fault =
+        faults_ != nullptr ? &faults_->participants[slot] : nullptr;
+    if (fault == nullptr || !fault->no_show) {
+      support::PrngSource rng(
+          support::derive_seed(seed_, static_cast<std::uint64_t>(pid)));
+      HwPlatform::Context ctx(pid, rng);
+      ctx.set_step_limit(step_limit_);
+      if (deadline_armed_) ctx.set_cancel_flag(&cancel_);
+      if (fault != nullptr && fault->stall_us > 0) {
+        ctx.set_stall(fault->stall_after_op, fault->stall_us);
+      }
+      if (fault != nullptr && fault->delay_us > 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(fault->delay_us));
+      }
+      try {
+        if (le_ != nullptr) {
+          result_->outcomes[slot] = le_->elect(ctx);
+        } else {
+          // Native baseline: atomic exchange is a hardware TAS.
+          result_->outcomes[slot] =
+              native_bit_.exchange(1, std::memory_order_seq_cst) == 0
+                  ? sim::Outcome::kWin
+                  : sim::Outcome::kLose;
+          ctx.on_op();
+        }
+      } catch (const StepLimitReached&) {
+        aborted_.fetch_add(1, std::memory_order_relaxed);  // outcome kUnknown
+      } catch (const ElectionCancelled&) {
+        cancelled_.fetch_add(1, std::memory_order_relaxed);  // outcome kUnknown
+      }
+      result_->ops[slot] = ctx.ops();
     }
-    if (was_cancelled) cancelled_.fetch_add(1, std::memory_order_relaxed);
-    if (perf) perf_slots_[static_cast<std::size_t>(pid)].add(perf->stop());
+    if (perf) perf_slots_[slot].add(perf->stop());
     gate_.arrive_and_wait();  // completion; orders our writes before run()
   }
 }
@@ -428,60 +282,82 @@ telemetry::PerfCounts HwTrialPool::perf_totals() const {
 HwRunResult HwTrialPool::run(algo::AlgorithmId id, int n, std::uint64_t seed,
                              HwRunOptions options) {
   RTS_REQUIRE(k_ <= n, "need k <= n threads");
+  RTS_REQUIRE(options.max_retries >= 0, "retry count must be non-negative");
+  const bool chaos = options.plan != nullptr && options.plan->active();
   HwRunResult result;
   result.n = n;
   result.k = k_;
-  result.outcomes.assign(static_cast<std::size_t>(k_), sim::Outcome::kUnknown);
-  result.ops.assign(static_cast<std::size_t>(k_), 0);
-
-  RegisterPool pool;
-  HwPlatform::Arena arena(pool);
-  std::unique_ptr<algo::ILeaderElect<HwPlatform>> le =
-      make_hw_le(id, arena, n);
-  result.declared_registers = le != nullptr ? le->declared_registers() : 1;
-  std::atomic<std::uint64_t> native_bit{0};
-
-  le_ = le.get();
-  native_bit_ = &native_bit;
-  seed_ = seed;
   step_limit_ = options.step_limit;
-  outcomes_ = &result.outcomes;
-  ops_ = &result.ops;
-  faults_ = options.faults;
   deadline_armed_ = options.deadline_ns > 0;
-  aborted_.store(0, std::memory_order_relaxed);
-  cancelled_.store(0, std::memory_order_relaxed);
-  cancel_.store(false, std::memory_order_relaxed);
+  result_ = &result;
+  for (int attempt = 0;; ++attempt) {
+    const std::uint64_t attempt_seed =
+        attempt == 0
+            ? seed
+            : support::derive_seed(
+                  seed, kRetrySalt + static_cast<std::uint64_t>(attempt));
+    fault::TrialFaults faults;
+    if (chaos) faults = options.plan->for_trial(attempt_seed, k_);
+    result.faults.add(faults);
+    result.outcomes.assign(static_cast<std::size_t>(k_),
+                           sim::Outcome::kUnknown);
+    result.ops.assign(static_cast<std::size_t>(k_), 0);
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_done_ = false;
-    watchdog_armed_ = deadline_armed_;
-    if (deadline_armed_) {
-      watchdog_deadline_ = std::chrono::steady_clock::now() +
-                           std::chrono::nanoseconds(options.deadline_ns);
+    RegisterPool pool;
+    HwPlatform::Arena arena(pool);
+    std::unique_ptr<algo::ILeaderElect<HwPlatform>> le =
+        make_hw_le(id, arena, n);
+    result.declared_registers = le != nullptr ? le->declared_registers() : 1;
+    le_ = le.get();
+    native_bit_.store(0, std::memory_order_relaxed);
+    seed_ = attempt_seed;
+    faults_ = chaos ? &faults : nullptr;
+    aborted_.store(0, std::memory_order_relaxed);
+    cancelled_.store(0, std::memory_order_relaxed);
+    cancel_.store(false, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      job_done_ = false;
+      watchdog_armed_ = deadline_armed_;
+      if (deadline_armed_) {
+        watchdog_deadline_ = std::chrono::steady_clock::now() +
+                             std::chrono::nanoseconds(options.deadline_ns);
+      }
+      ++job_seq_;  // publishes the job state written above
     }
-    ++job_seq_;  // publishes the job state written above
-  }
-  job_cv_.notify_all();
-  if (deadline_armed_) watchdog_cv_.notify_all();
-  gate_.arrive_and_wait();  // start line with the woken participants
-  const auto start = std::chrono::steady_clock::now();
-  gate_.arrive_and_wait();  // wait for completion
-  const auto end = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_done_ = true;  // disarms the watchdog for this job
-  }
-  watchdog_cv_.notify_all();
-  ++trials_run_;
+    job_cv_.notify_all();
+    if (deadline_armed_) watchdog_cv_.notify_all();
+    gate_.arrive_and_wait();  // start line with the woken participants
+    const auto start = std::chrono::steady_clock::now();
+    gate_.arrive_and_wait();  // wait for completion
+    const auto end = std::chrono::steady_clock::now();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      job_done_ = true;  // disarms the watchdog for this job
+    }
+    watchdog_cv_.notify_all();
+    ++trials_run_;
 
-  count_faults(result, options.faults);
-  finalize_hw_result(result, pool.allocated(),
-                     std::chrono::duration<double>(end - start).count(),
-                     aborted_.load(std::memory_order_relaxed) > 0,
-                     cancelled_.load(std::memory_order_relaxed) > 0);
-  faults_ = nullptr;  // the pointee's lifetime ends with this run
+    // An aborted or cancelled attempt legitimately has no winner; only a
+    // complete one without exactly one is a violation, mirroring the sim
+    // harness's liveness rule.  Two winners violate unconditionally.
+    result.wall_seconds = std::chrono::duration<double>(end - start).count();
+    result.registers = pool.allocated();
+    result.timed_out = cancelled_.load(std::memory_order_relaxed) > 0;
+    result.completed =
+        aborted_.load(std::memory_order_relaxed) == 0 && !result.timed_out;
+    result.winners = static_cast<int>(std::count(
+        result.outcomes.begin(), result.outcomes.end(), sim::Outcome::kWin));
+    if (result.winners > 1 || (result.completed && result.winners != 1)) {
+      result.violations.push_back(
+          "hardware run must elect exactly one winner, got " +
+          std::to_string(result.winners));
+    }
+    if (!result.timed_out || attempt >= options.max_retries) break;
+    ++result.retries;
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(options.backoff.delay_us(attempt + 1, seed)));
+  }
   return result;
 }
 

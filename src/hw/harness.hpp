@@ -1,7 +1,9 @@
 // Thread harness for running leader elections / TAS on real hardware:
-// builds an algorithm instance from the unified algo::AlgorithmId catalogue,
-// releases `k` threads through a barrier, and collects outcomes, per-thread
-// shared-op counts, and wall-clock time.
+// HwTrialPool parks `k` participant threads, builds an algorithm instance
+// from the unified algo::AlgorithmId catalogue per election, releases the
+// threads through a barrier, and collects outcomes, per-thread shared-op
+// counts, and wall-clock time.  Its run() also owns the deadline/retry
+// loop that campaign hw cells and soak arrivals share.
 //
 // Hardware trials summarize into the same exec::TrialSummary contract as
 // simulator trials (see exec/backend.hpp), so campaigns, aggregates, and
@@ -16,12 +18,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "algo/platform.hpp"
 #include "algo/registry.hpp"
 #include "exec/backend.hpp"
+#include "fault/backoff.hpp"
 #include "fault/plan.hpp"
 #include "hw/platform.hpp"
 #include "sim/types.hpp"
@@ -29,33 +33,40 @@
 
 namespace rts::hw {
 
-/// Deprecated alias: the hardware harness used to carry its own algorithm
-/// enum; the catalogue is unified in algo::AlgorithmId (every historical
-/// HwAlgorithmId enumerator, including kNativeAtomic, exists there).
-using HwAlgorithmId = algo::AlgorithmId;
-
 /// Constructs the algorithm for up to n processes on the hardware platform.
 /// Returns nullptr for kNativeAtomic (handled specially by the harness).
 /// Requires algo::supports(id, exec::Backend::kHw).
 std::unique_ptr<algo::ILeaderElect<HwPlatform>> make_hw_le(
     algo::AlgorithmId id, HwPlatform::Arena arena, int n);
 
-/// Per-run knobs shared by the fresh harness and the pooled runner.
+/// Seed-stream salt for retry attempts: attempt a > 0 of an election on
+/// `seed` runs on derive_seed(seed, kRetrySalt + a), so retries draw fresh
+/// coins and fault draws without perturbing any other election's stream.
+inline constexpr std::uint64_t kRetrySalt = 0xfa01'7e72;
+
+/// Per-run knobs of HwTrialPool::run.
 struct HwRunOptions {
   /// Shared-op budget per participant context (the step-limit watchdog; see
   /// hw::StepLimitReached).  Participants exceeding it abort; the trial
   /// reports them unfinished and is marked incomplete instead of hanging.
   std::uint64_t step_limit = UINT64_MAX;
-  /// Wall-clock deadline for the whole election, nanoseconds; 0 disables.
-  /// A watchdog thread arms a cancel flag at the deadline and participants
-  /// throw ElectionCancelled at their next shared op -- the run returns
-  /// with timed_out set instead of hanging the caller.
+  /// Wall-clock deadline per attempt, nanoseconds; 0 disables.  The pool's
+  /// watchdog arms a cancel flag at the deadline and participants throw
+  /// ElectionCancelled at their next shared op -- the attempt ends
+  /// timed_out instead of hanging the caller.
   std::uint64_t deadline_ns = 0;
-  /// Per-participant fault injection for this election (see
-  /// fault/plan.hpp); the pointee must outlive the run.  Null disables.
-  const fault::TrialFaults* faults = nullptr;
+  /// Attempts after a timed-out one, each on a salted seed (kRetrySalt)
+  /// and preceded by backoff.delay_us(a, seed) microseconds of sleep.
+  int max_retries = 0;
+  fault::BackoffPolicy backoff;
+  /// Seeded fault plan (see fault/plan.hpp): every attempt's participants
+  /// are dealt plan->for_trial(attempt_seed, k).  The pointee must outlive
+  /// the run; null (or an inactive plan) disables.
+  const fault::FaultPlan* plan = nullptr;
 };
 
+/// One election as the caller sees it: the final attempt's outcomes, plus
+/// what every attempt contributed (retries, faults, violations).
 struct HwRunResult {
   int n = 0;  ///< capacity the object was built for
   int k = 0;  ///< participating threads
@@ -66,39 +77,21 @@ struct HwRunResult {
   std::size_t registers = 0;        // materialized in the pool
   std::size_t declared_registers = 0;
   /// False when the step-limit watchdog fired or the deadline cancelled
-  /// the election.
+  /// the final attempt.
   bool completed = true;
-  bool timed_out = false;  ///< the deadline watchdog cancelled this run
-  /// Faults actually dealt to this run's participants (from the
-  /// HwRunOptions::faults plan; all zero without one).
-  int no_shows = 0;
-  int stalls = 0;
-  int delays = 0;
+  /// The deadline watchdog cancelled the final attempt.
+  bool timed_out = false;
+  int retries = 0;  ///< attempts after the first
+  /// Faults dealt to the participants, summed over attempts.
+  fault::FaultCounters faults;
+  /// Every attempt's safety/liveness violations: two winners violate even
+  /// on a cancelled attempt; a complete attempt must elect exactly one.
   std::vector<std::string> violations;
 };
-
-/// Runs one election: builds the object for `n` threads and releases `k`
-/// participants (1 <= k <= n), mirroring sim::run_le_once.  Each thread
-/// calls elect() exactly once; the harness checks the exactly-one-winner
-/// invariant.
-HwRunResult run_hw_le(algo::AlgorithmId id, int n, int k, std::uint64_t seed,
-                      HwRunOptions options = {});
-
-/// Convenience: the common "object sized for its load" case, n = k.
-inline HwRunResult run_hw_le(algo::AlgorithmId id, int k, std::uint64_t seed,
-                             HwRunOptions options = {}) {
-  return run_hw_le(id, k, k, seed, options);
-}
 
 /// The backend-agnostic per-trial slice of a hardware run; feeds the same
 /// exec::accumulate_trial fold as simulator trials.
 exec::TrialSummary summarize_trial(const HwRunResult& result);
-
-/// Runs trial `trial` of the (id, n, k, seed0) stream with the same
-/// per-trial seed derivation sim::run_le_trial uses, so a campaign cell's
-/// trial stream means the same thing on either backend.
-HwRunResult run_hw_trial(algo::AlgorithmId id, int n, int k, int trial,
-                         std::uint64_t seed0, HwRunOptions options = {});
 
 /// Pool-lifetime knobs (as opposed to the per-run HwRunOptions).
 struct HwPoolOptions {
@@ -116,9 +109,11 @@ struct HwPoolOptions {
 
 /// Persistent pool of `k` parked participant threads reused across hardware
 /// trials: the per-trial cost drops from k thread spawns + joins to two
-/// barrier phases.  One pool per campaign cell (or per run_hw_many stream);
-/// run() is not thread-safe -- callers serialize trials, which the campaign
-/// executor does anyway to keep measured thread counts honest.
+/// barrier phases.  The only way to run an hw election: one pool per
+/// campaign cell, soak shard, or run_hw_many stream (a one-off election is
+/// a one-election pool).  run() is not thread-safe -- callers serialize
+/// trials, which the campaign executor does anyway to keep measured thread
+/// counts honest.
 ///
 /// The algorithm instance and its register pool stay per-trial: unlike sim
 /// kernels, hw object graphs race real threads, so each trial gets a fresh
@@ -132,6 +127,7 @@ class HwTrialPool {
   HwTrialPool& operator=(const HwTrialPool&) = delete;
 
   int capacity() const { return k_; }
+  /// Elections run so far, retry attempts included.
   std::uint64_t trials_run() const { return trials_run_; }
 
   /// Summed per-participant counter readings over every election this pool
@@ -141,12 +137,17 @@ class HwTrialPool {
   /// Call between trials only (same serialization rule as run()).
   telemetry::PerfCounts perf_totals() const;
 
-  /// One election with the pool's k participants, mirroring
-  /// run_hw_le(id, n, k, seed, options).
+  /// One election with the pool's k participants (k <= n), each calling
+  /// elect() once; checks the exactly-one-winner invariant.  This is the
+  /// deadline/retry loop of campaigns and soaks alike: attempt 0 runs on
+  /// `seed`, and a timed-out attempt with retries left backs off and runs
+  /// again on derive_seed(seed, kRetrySalt + a).
   HwRunResult run(algo::AlgorithmId id, int n, std::uint64_t seed,
                   HwRunOptions options = {});
 
-  /// Trial-indexed form mirroring run_hw_trial's seed derivation.
+  /// Trial-indexed form: trial `trial` of the (id, n, k, seed0) stream, on
+  /// the per-trial seed sim::run_le_trial uses, so a campaign cell's trial
+  /// stream means the same thing on either backend.
   HwRunResult run_trial(algo::AlgorithmId id, int n, int trial,
                         std::uint64_t seed0, HwRunOptions options = {});
 
@@ -165,16 +166,15 @@ class HwTrialPool {
   std::uint64_t job_seq_ = 0;  // guarded by mu_
   bool stop_ = false;          // guarded by mu_
   std::barrier<> gate_;        // k participants + the driving thread
-  // Per-trial job state: written by run() before publishing the job
+  // Per-attempt job state: written by run() before publishing the job
   // sequence number, read by participants after waking on it.
-  algo::ILeaderElect<HwPlatform>* le_ = nullptr;
-  std::atomic<std::uint64_t>* native_bit_ = nullptr;
+  algo::ILeaderElect<HwPlatform>* le_ = nullptr;  ///< null: native atomic
+  std::atomic<std::uint64_t> native_bit_{0};
   std::uint64_t seed_ = 0;
   std::uint64_t step_limit_ = UINT64_MAX;
-  std::vector<sim::Outcome>* outcomes_ = nullptr;
-  std::vector<std::uint64_t>* ops_ = nullptr;
-  const fault::TrialFaults* faults_ = nullptr;
-  bool deadline_armed_ = false;  ///< job state like seed_; read after wake
+  HwRunResult* result_ = nullptr;  ///< participant pid writes slot pid
+  const fault::TrialFaults* faults_ = nullptr;  ///< null: no faults dealt
+  bool deadline_armed_ = false;
   std::atomic<int> aborted_{0};
   std::atomic<int> cancelled_{0};  ///< participants unwound on the deadline
   std::uint64_t trials_run_ = 0;

@@ -33,10 +33,17 @@ TEST(HwPlatform, ContextCountsOps) {
   EXPECT_EQ(ctx.ops(), 2u);
 }
 
+/// One election with the object sized for its load (n = k), on a
+/// one-election pool.
+HwRunResult run_once(algo::AlgorithmId id, int k, std::uint64_t seed) {
+  HwTrialPool pool(k);
+  return pool.run(id, k, seed);
+}
+
 class HwAlgorithms : public ::testing::TestWithParam<algo::AlgorithmId> {};
 
 TEST_P(HwAlgorithms, SingleThreadWins) {
-  const HwRunResult r = run_hw_le(GetParam(), /*k=*/1, /*seed=*/1);
+  const HwRunResult r = run_once(GetParam(), /*k=*/1, /*seed=*/1);
   EXPECT_TRUE(r.violations.empty());
   EXPECT_EQ(r.winners, 1);
   EXPECT_EQ(r.outcomes[0], sim::Outcome::kWin);
@@ -46,8 +53,9 @@ TEST_P(HwAlgorithms, ManyThreadsExactlyOneWinner) {
   const int hw_threads =
       std::max(2u, std::thread::hardware_concurrency());
   for (const int k : {2, 4, hw_threads * 2}) {
+    HwTrialPool pool(k);
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
-      const HwRunResult r = run_hw_le(GetParam(), k, seed);
+      const HwRunResult r = pool.run(GetParam(), k, seed);
       ASSERT_TRUE(r.violations.empty())
           << algo::info(GetParam()).name << " k=" << k << " seed=" << seed
           << ": " << r.violations.front();
@@ -87,10 +95,9 @@ TEST(HwHarness, StressCombinedManyTrials) {
 
 TEST(HwHarness, OpsScaleWithAlgorithm) {
   // The native baseline is 1 op; register-based algorithms cost more.
-  const HwRunResult native =
-      run_hw_le(algo::AlgorithmId::kNativeAtomic, 4, 1);
-  const HwRunResult logstar =
-      run_hw_le(algo::AlgorithmId::kLogStarChain, 4, 1);
+  HwTrialPool pool(4);
+  const HwRunResult native = pool.run(algo::AlgorithmId::kNativeAtomic, 4, 1);
+  const HwRunResult logstar = pool.run(algo::AlgorithmId::kLogStarChain, 4, 1);
   std::uint64_t native_max = 0;
   std::uint64_t logstar_max = 0;
   for (const auto ops : native.ops) native_max = std::max(native_max, ops);
@@ -100,7 +107,7 @@ TEST(HwHarness, OpsScaleWithAlgorithm) {
 }
 
 TEST(HwHarness, SummarizeTrialFillsTheSharedContract) {
-  const HwRunResult r = run_hw_le(algo::AlgorithmId::kTournament, 4, 9);
+  const HwRunResult r = run_once(algo::AlgorithmId::kTournament, 4, 9);
   const exec::TrialSummary trial = summarize_trial(r);
   EXPECT_EQ(trial.backend, exec::Backend::kHw);
   EXPECT_EQ(trial.k, 4);
@@ -114,12 +121,6 @@ TEST(HwHarness, SummarizeTrialFillsTheSharedContract) {
   EXPECT_TRUE(trial.completed);
   EXPECT_GE(trial.wall_seconds, 0.0);
   EXPECT_TRUE(trial.first_violation.empty());
-}
-
-TEST(HwHarness, DeprecatedAliasStillNamesTheUnifiedCatalogue) {
-  static_assert(std::is_same_v<HwAlgorithmId, algo::AlgorithmId>);
-  const HwRunResult r = run_hw_le(HwAlgorithmId::kNativeAtomic, 2, 5);
-  EXPECT_EQ(r.winners, 1);
 }
 
 }  // namespace

@@ -80,19 +80,20 @@ TEST(Registry, HwCapabilityFlagsMatchTheHwFactory) {
     } else {
       EXPECT_NE(le, nullptr) << algorithm.name;
     }
+    hw::HwTrialPool elections(2);
     if (algorithm.diagnostic) {
       // Diagnostic entries never elect by design; run them under the
       // watchdog and expect a clean incomplete run instead of a winner.
       hw::HwRunOptions options;
       options.step_limit = 1000;
       const hw::HwRunResult r =
-          hw::run_hw_le(algorithm.id, 2, /*seed=*/11, options);
+          elections.run(algorithm.id, 2, /*seed=*/11, options);
       EXPECT_FALSE(r.completed) << algorithm.name;
       EXPECT_EQ(r.winners, 0) << algorithm.name;
       EXPECT_TRUE(r.violations.empty()) << algorithm.name;
       continue;
     }
-    const hw::HwRunResult r = hw::run_hw_le(algorithm.id, 2, /*seed=*/11);
+    const hw::HwRunResult r = elections.run(algorithm.id, 2, /*seed=*/11);
     EXPECT_TRUE(r.violations.empty()) << algorithm.name;
     EXPECT_EQ(r.winners, 1) << algorithm.name;
   }
@@ -141,9 +142,10 @@ TEST(Registry, SimAndHwTrialsShareOneSummaryShape) {
       sim_builder(AlgorithmId::kTournament), /*n=*/4, /*k=*/4,
       adversary_factory(AdversaryId::kUniformRandom), /*trial=*/0,
       /*seed0=*/3));
+  hw::HwTrialPool elections(/*k=*/4);
   const exec::TrialSummary hw_trial = hw::summarize_trial(
-      hw::run_hw_trial(AlgorithmId::kTournament, /*n=*/4, /*k=*/4,
-                       /*trial=*/0, /*seed0=*/3));
+      elections.run_trial(AlgorithmId::kTournament, /*n=*/4, /*trial=*/0,
+                          /*seed0=*/3));
 
   EXPECT_EQ(sim_trial.backend, exec::Backend::kSim);
   EXPECT_EQ(hw_trial.backend, exec::Backend::kHw);

@@ -16,7 +16,9 @@
 //  * checked CLI numeric parsing (the atoi-hardening bugfix),
 //  * HwTrialPool deadline-watchdog shutdown ordering: repeated
 //    construct/cancel/destruct stress (ASan/UBSan coverage) and the
-//    stale-deadline re-arm regression.
+//    stale-deadline re-arm regression,
+//  * the one deadline/retry loop: the same forced timeouts counted alike
+//    by HwTrialPool::run, a campaign hw cell, and a soak.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,6 +29,7 @@
 
 #include "algo/registry.hpp"
 #include "campaign/cli.hpp"
+#include "campaign/executor.hpp"
 #include "campaign/soak.hpp"
 #include "fault/plan.hpp"
 #include "hw/harness.hpp"
@@ -351,11 +354,9 @@ TEST(WatchdogStress, RepeatedConstructCancelDestruct) {
   ASSERT_TRUE(plan.has_value());
   for (int i = 0; i < 20; ++i) {
     hw::HwTrialPool pool(2);
-    const fault::TrialFaults faults =
-        plan->for_trial(static_cast<std::uint64_t>(i) + 1, 2);
     hw::HwRunOptions options;
     options.deadline_ns = 200'000;  // 0.2ms deadline vs 50ms delays
-    options.faults = &faults;
+    options.plan = &*plan;
     const hw::HwRunResult run = pool.run(algo::AlgorithmId::kTournament, 2,
                                          static_cast<std::uint64_t>(i), options);
     EXPECT_TRUE(run.timed_out);
@@ -381,15 +382,67 @@ TEST(WatchdogStress, StaleDeadlineDoesNotCancelTheNextElection) {
   const hw::HwRunResult a =
       pool.run(algo::AlgorithmId::kNativeAtomic, 2, 1, fast);
   EXPECT_FALSE(a.timed_out);
-  const fault::TrialFaults faults = plan->for_trial(2, 2);
   hw::HwRunOptions slow;
   slow.deadline_ns = 2'000'000'000;  // 2s: far beyond the 250ms stalls
-  slow.faults = &faults;
+  slow.plan = &*plan;
   const hw::HwRunResult b =
       pool.run(algo::AlgorithmId::kTournament, 2, 2, slow);
   EXPECT_FALSE(b.timed_out) << "stale deadline from the previous election "
                                "cancelled a healthy one";
   EXPECT_TRUE(b.completed);
+}
+
+TEST(RetryTaxonomy, PoolCampaignAndSoakShareOneRetryLoop) {
+  // One forced-timeout setup through the three paths that report hw
+  // retries.  Every participant sleeps 50ms before its first shared op, so
+  // the 0.2ms deadline cancels every attempt (the WatchdogStress margin)
+  // and each election spends both of its retries.
+  const auto plan = fault::FaultPlan::parse("delay:p=1,us=50000", nullptr);
+  ASSERT_TRUE(plan.has_value());
+  constexpr int k = 2;
+  constexpr std::uint64_t kDeadlineNs = 200'000;
+  constexpr int kRetries = 2;
+  const algo::AlgorithmId id = algo::AlgorithmId::kTournament;
+
+  hw::HwTrialPool pool(k);
+  hw::HwRunOptions options;
+  options.deadline_ns = kDeadlineNs;
+  options.max_retries = kRetries;
+  options.plan = &*plan;
+  const hw::HwRunResult run = pool.run(id, k, /*seed=*/5, options);
+  EXPECT_TRUE(run.timed_out);
+  EXPECT_FALSE(run.completed);
+  EXPECT_EQ(run.retries, kRetries);
+  EXPECT_EQ(run.faults.delays, static_cast<std::uint64_t>((kRetries + 1) * k));
+
+  CampaignSpec spec;
+  spec.name = "retry-taxonomy";
+  spec.backends = {exec::Backend::kHw};
+  spec.algorithms = {id};
+  spec.adversaries = {algo::AdversaryId::kUniformRandom};
+  spec.ks = {k};
+  spec.trials = 2;
+  ExecutorOptions executor;
+  executor.fault_plan = *plan;
+  executor.hw_deadline_ns = kDeadlineNs;
+  executor.hw_max_retries = kRetries;
+  const CampaignResult campaign = run_campaign(spec, executor);
+  ASSERT_EQ(campaign.cells.size(), 1u);
+  EXPECT_EQ(campaign.cells[0].agg.timed_out_runs, 2);
+  EXPECT_EQ(campaign.cells[0].agg.retries_total, 4u);
+
+  SoakSpec soak;
+  soak.k = k;
+  soak.duration_seconds = 0.2;
+  soak.rate = 10.0;
+  soak.deadline_ns = kDeadlineNs;
+  soak.max_retries = kRetries;
+  soak.faults = *plan;
+  const SoakResult served = run_soak_one(soak, id, nullptr);
+  EXPECT_EQ(served.completed, 0u);
+  EXPECT_GT(served.timed_out, 0u);
+  EXPECT_EQ(served.retried,
+            static_cast<std::uint64_t>(kRetries) * served.timed_out);
 }
 
 }  // namespace

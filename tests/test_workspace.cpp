@@ -14,6 +14,7 @@
 #include "algo/registry.hpp"
 #include "campaign/executor.hpp"
 #include "exec/workspace.hpp"
+#include "fiber/stack.hpp"
 #include "hw/harness.hpp"
 #include "sim/memory.hpp"
 #include "sim/runner.hpp"
@@ -317,14 +318,14 @@ TEST(HwTrialPool, WatchdogSurvivesCombinerChildFibers) {
   // algorithms run their sub-elections on child fibers; with a budget too
   // small to finish, the abort must surface as a clean incomplete trial,
   // not std::terminate.
+  hw::HwTrialPool pool(4);
   hw::HwRunOptions options;
   options.step_limit = 3;
   const hw::HwRunResult r =
-      hw::run_hw_le(algo::AlgorithmId::kCombinedSift, 4, /*seed=*/7, options);
+      pool.run(algo::AlgorithmId::kCombinedSift, 4, /*seed=*/7, options);
   EXPECT_FALSE(r.completed);
   EXPECT_TRUE(r.violations.empty());
-  // And with an ample budget the same algorithm still elects through a pool.
-  hw::HwTrialPool pool(4);
+  // And with an ample budget the same pool still elects.
   const hw::HwRunResult ok =
       pool.run(algo::AlgorithmId::kCombinedSift, 4, /*seed=*/7);
   EXPECT_TRUE(ok.completed);
@@ -360,6 +361,50 @@ TEST(HwTrialPool, CampaignWithDivergingHwCellTerminatesCleanly) {
   EXPECT_EQ(result.cells[0].error_runs, 0);
   EXPECT_EQ(result.cells[0].agg.violation_runs, 0);
   EXPECT_EQ(result.cells[0].agg.unfinished.mean(), 2.0);
+}
+
+TEST(HwTrialPool, CombinedElectionsKeepLiveStacksFlat) {
+  // Regression: a combiner maps each participant's two child stacks on that
+  // participant's thread and releases them on the thread that destroys the
+  // election.  Per-thread stack pools hoarded every release on the
+  // destroying side, so participants mapped fresh stacks on every election
+  // (+2k per combined-sift election) until the process ran out of
+  // mappings.  Past warm-up the count must stay within one election's
+  // worth of child stacks.
+  constexpr int k = 3;
+  hw::HwTrialPool pool(k);
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    pool.run(algo::AlgorithmId::kCombinedSift, k, seed);
+  }
+  const std::size_t warm = fiber::live_stack_count();
+  for (int e = 0; e < 10'000; ++e) {
+    const hw::HwRunResult r = pool.run(algo::AlgorithmId::kCombinedSift, k,
+                                       1'000 + static_cast<std::uint64_t>(e));
+    ASSERT_TRUE(r.violations.empty()) << "election " << e;
+    ASSERT_LE(fiber::live_stack_count(), warm + 2 * k)
+        << "after " << e + 1 << " elections";
+  }
+}
+
+TEST(HwTrialPool, MultiWorkerCombinedCampaignRunsClean) {
+  // The campaign form of the same leak: every worker thread that destroyed
+  // hw elections hoarded child stacks, and at k = 8 three workers crossed
+  // the process's mapping limit within 2100 trials (an abort, not a
+  // failed trial).
+  campaign::CampaignSpec spec;
+  spec.name = "combined-hw-stacks";
+  spec.backends = {exec::Backend::kHw};
+  spec.algorithms = {algo::AlgorithmId::kCombinedSift};
+  spec.adversaries = {algo::AdversaryId::kUniformRandom};
+  spec.ks = {8};
+  spec.trials = 2100;
+  campaign::ExecutorOptions options;
+  options.workers = 3;
+  const campaign::CampaignResult result = campaign::run_campaign(spec, options);
+  ASSERT_EQ(result.cells.size(), 1u);
+  EXPECT_EQ(result.cells[0].trials_run, 2100);
+  EXPECT_EQ(result.cells[0].error_runs, 0);
+  EXPECT_EQ(result.cells[0].agg.violation_runs, 0);
 }
 
 }  // namespace
