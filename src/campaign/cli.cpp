@@ -22,6 +22,7 @@
 #include "sim/adversaries.hpp"
 #include "sim/minimize.hpp"
 #include "sim/trace.hpp"
+#include "sim/types.hpp"
 #include "support/assert.hpp"
 
 namespace rts::campaign {
@@ -328,10 +329,11 @@ std::vector<CliFlag> make_flag_table() {
        "RMR charging models (sim only; adds a grid axis and the RMR report "
        "columns)"},
       {"--ks", nullptr, "K[,K...]",
-       list(&CliArgs::ks, int_in(1, 1'000'000), closed_range(1, 1'000'000)),
+       list(&CliArgs::ks, int_in(1, sim::kMaxProcesses),
+            closed_range(1, sim::kMaxProcesses)),
        kGrid | kSoakMode,
        "contention levels (overrides the preset's); a soak takes one"},
-      {"--n", nullptr, "N", ints(&CliArgs::fixed_n, 1, 1'000'000),
+      {"--n", nullptr, "N", ints(&CliArgs::fixed_n, 1, sim::kMaxProcesses),
        kGrid | kSoakMode, "fixed object capacity (default: n = k)"},
       {"--trials", nullptr, "N", ints(&CliArgs::trials, 1, kIntMax), kGrid,
        "trials per cell (overrides the preset's)"},

@@ -1,6 +1,7 @@
 #include "campaign/soak.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -8,6 +9,11 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
+
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
 
 #include "exec/backend.hpp"
 #include "hw/harness.hpp"
@@ -30,6 +36,38 @@ std::string fmt_double(double value) {
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
+
+std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
+}
+
+/// Runs the calling thread at 1 ns timer slack for the guard's lifetime
+/// and restores its previous slack on every exit path.  Best effort: the
+/// slack stays as it was where the platform refuses.
+class FineTimerSlack {
+ public:
+  FineTimerSlack() {
+#if defined(__linux__)
+    const int previous = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+    if (previous > 0 && prctl(PR_SET_TIMERSLACK, 1UL, 0, 0, 0) == 0) {
+      previous_ = previous;
+    }
+#endif
+  }
+  ~FineTimerSlack() {
+#if defined(__linux__)
+    if (previous_ > 0) {
+      prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(previous_), 0, 0, 0);
+    }
+#endif
+  }
+  FineTimerSlack(const FineTimerSlack&) = delete;
+  FineTimerSlack& operator=(const FineTimerSlack&) = delete;
+
+ private:
+  int previous_ = 0;
+};
 
 fault::FaultPlan parse_plan_or_die(const char* spec) {
   std::string error;
@@ -149,6 +187,9 @@ void merge_shard_stats(const std::vector<ShardStats>& shards,
   result->violations = 0;
   result->incomplete = 0;
   result->latency = telemetry::LatencyHistogram();
+  result->generator_lateness = telemetry::LatencyHistogram();
+  result->queue_wait = telemetry::LatencyHistogram();
+  result->service = telemetry::LatencyHistogram();
   result->faults = fault::FaultCounters();
   result->perf = telemetry::PerfCounts();
   for (const ShardStats& shard : shards) {
@@ -159,6 +200,9 @@ void merge_shard_stats(const std::vector<ShardStats>& shards,
     result->violations += shard.violations;
     result->incomplete += shard.incomplete;
     result->latency.merge(shard.latency);
+    result->generator_lateness.merge(shard.generator_lateness);
+    result->queue_wait.merge(shard.queue_wait);
+    result->service.merge(shard.service);
     result->faults.add(shard.faults);
     result->perf.add(shard.perf);
   }
@@ -167,12 +211,24 @@ void merge_shard_stats(const std::vector<ShardStats>& shards,
 namespace {
 
 /// One arrival as dispatched to a shard: its schedule position (which
-/// alone fixes its seed stream) and its scheduled arrival instant (which
-/// latency is measured from).
+/// alone fixes its seed stream), its scheduled arrival instant (which
+/// latency is measured from) and the instant the dispatcher issued it.
+/// The stamps reach the server through the shard's queue mutex.
 struct Arrival {
   std::uint64_t index = 0;
   Clock::time_point scheduled{};
+  Clock::time_point issued{};
 };
+
+/// The latency terms of a ShardStats or SoakResult, keyed by their report
+/// names, in report order.
+template <typename Stats>
+std::array<std::pair<const char*, const telemetry::LatencyHistogram*>, 3>
+latency_terms(const Stats& stats) {
+  return {{{"generator_lateness", &stats.generator_lateness},
+           {"queue_wait", &stats.queue_wait},
+           {"service", &stats.service}}};
+}
 
 /// One service shard: a persistent HwTrialPool plus a server thread
 /// draining this shard's arrival queue.  The dispatcher enqueues batches
@@ -280,9 +336,9 @@ class SoakShard {
 
   /// Files one arrival into the outcome taxonomy (see soak.hpp); the pool
   /// runs the deadline/retry loop.  Latency runs from the *scheduled*
-  /// arrival so queue wait and backoff stay charged (coordinated omission
-  /// honest), and a timed-out arrival contributes a count, never a
-  /// fabricated sample.
+  /// arrival so generator lateness, queue wait and backoff stay charged
+  /// (coordinated omission honest), and a timed-out arrival contributes a
+  /// count, never a fabricated sample.
   void serve_one(const Arrival& arrival) {
     hw::HwRunOptions run_options;
     run_options.step_limit = spec_.step_limit;
@@ -290,6 +346,7 @@ class SoakShard {
     run_options.max_retries = spec_.max_retries;
     run_options.backoff = spec_.backoff;
     run_options.plan = &spec_.faults;
+    const Clock::time_point run_start = Clock::now();
     const hw::HwRunResult run = pool_->run(
         algorithm_, n_, support::derive_seed(spec_.seed, arrival.index),
         run_options);
@@ -302,8 +359,11 @@ class SoakShard {
       ++stats_.timed_out;
     } else {
       ++stats_.completed;
-      stats_.latency.record(static_cast<std::uint64_t>(
-          std::llround(seconds_between(arrival.scheduled, end) * 1e9)));
+      stats_.latency.record(ns_between(arrival.scheduled, end));
+      stats_.generator_lateness.record(
+          ns_between(arrival.scheduled, arrival.issued));
+      stats_.queue_wait.record(ns_between(arrival.issued, run_start));
+      stats_.service.record(ns_between(run_start, end));
       if (!run.completed) ++stats_.incomplete;  // step-limit watchdog
     }
   }
@@ -356,6 +416,10 @@ SoakResult run_soak_one(const SoakSpec& spec, algo::AlgorithmId algorithm,
   ShardRouter router(shard_count);
   std::vector<std::uint64_t> backlogs(shard_count, 0);
   std::vector<std::vector<Arrival>> batches(shard_count);
+  // Only this thread, the dispatcher, runs at 1 ns slack: the shards'
+  // server and participant threads were spawned above and keep the
+  // caller's.
+  const FineTimerSlack fine_slack;
 
   const std::string tag = std::string("soak ") + algo::info(algorithm).name;
   const Clock::time_point start = Clock::now();
@@ -376,17 +440,24 @@ SoakResult run_soak_one(const SoakSpec& spec, algo::AlgorithmId algorithm,
                        std::chrono::duration<double>(
                            static_cast<double>(index) * period));
   };
-  const auto due_at = [&](Clock::time_point now) -> std::uint64_t {
-    const double elapsed = seconds_between(start, now);
-    return std::min(
-        result.planned,
-        static_cast<std::uint64_t>(std::floor(elapsed / period)) + 1);
-  };
   // Service arrears: everything routed to a shard and not yet served.
   const auto total_backlog = [&]() -> std::uint64_t {
     std::uint64_t total = 0;
     for (const auto& shard : shards) total += shard->backlog();
     return total;
+  };
+  // How late sleep_until wakes this thread: a 1/8-weight running mean of
+  // its own oversleep.  The dispatcher sleeps to twice that plus 2 us short
+  // of each wake (at most a quarter period) and closes the gap on the clock.
+  Clock::duration oversleep = std::chrono::microseconds(10);
+  const Clock::duration max_margin =
+      std::chrono::duration_cast<Clock::duration>(
+          std::chrono::duration<double>(period / 4.0));
+  const auto sleep_to = [&](Clock::time_point target) {
+    std::this_thread::sleep_until(target);
+    const Clock::time_point now = Clock::now();
+    oversleep += (now - target - oversleep) / 8;
+    return now;
   };
   const auto emit_heartbeat = [&](Clock::time_point now, bool final_line) {
     if (heartbeat == nullptr) return;
@@ -404,6 +475,11 @@ SoakResult run_soak_one(const SoakSpec& spec, algo::AlgorithmId algorithm,
                    : "backlog " + std::to_string(backlog);
     if (!live.latency.empty()) {
       extra += "  p99 " + format_ns(live.latency.p99());
+    }
+    for (const auto& [key, term] : latency_terms(live)) {
+      if (!term->empty()) {
+        extra += std::string("  ") + key + " p99 " + format_ns(term->p99());
+      }
     }
     if (live.timed_out > 0) extra += "  t/o " + std::to_string(live.timed_out);
     if (live.shed > 0) extra += "  shed " + std::to_string(live.shed);
@@ -439,23 +515,33 @@ SoakResult run_soak_one(const SoakSpec& spec, algo::AlgorithmId algorithm,
     const Clock::time_point scheduled = scheduled_at(dispatched);
     Clock::time_point now = Clock::now();
     // Open-loop arrival: wait for the next scheduled request, waking for
-    // heartbeats, but never past the soak deadline.
+    // heartbeats, but never past the soak deadline.  Sleep to a margin
+    // short of the wake, then spin the rest of the way if no election is
+    // queued or in flight -- only the dispatcher creates work, so the spin
+    // never takes a core an election uses -- and sleep it otherwise.
     while (now < scheduled && now < deadline) {
       Clock::time_point wake = std::min(scheduled, deadline);
       if (heartbeat != nullptr) wake = std::min(wake, next_heartbeat);
-      std::this_thread::sleep_until(wake);
-      now = Clock::now();
+      const Clock::time_point early =
+          wake - std::min(2 * oversleep + std::chrono::microseconds(2),
+                          max_margin);
+      if (now < early) now = sleep_to(early);
+      if (total_backlog() == 0) {
+        while (now < wake) now = Clock::now();
+      } else if (now < wake) {
+        now = sleep_to(wake);
+      }
       maybe_heartbeat(now);
     }
     if (now >= deadline) break;
     maybe_heartbeat(now);
 
     // Dispatch pass: batch every arrival due by now (at least the one we
-    // slept for), routing each to the least-backlog shard, then publish
-    // each shard's batch with a single wakeup.
-    const std::uint64_t due = due_at(now);
+    // waited for), routing each to the least-backlog shard, then publish
+    // each shard's batch with a single wakeup.  `now` is each arrival's
+    // issue stamp, never before its scheduled instant.
     for (auto& batch : batches) batch.clear();
-    while (dispatched < due) {
+    while (dispatched < result.planned && scheduled_at(dispatched) <= now) {
       for (std::size_t s = 0; s < shard_count; ++s) {
         backlogs[s] = shards[s]->backlog() + batches[s].size();
       }
@@ -467,7 +553,8 @@ SoakResult run_soak_one(const SoakSpec& spec, algo::AlgorithmId algorithm,
         shards[shard]->record_shed();
         result.degraded = true;
       } else {
-        batches[shard].push_back(Arrival{dispatched, scheduled_at(dispatched)});
+        batches[shard].push_back(
+            Arrival{dispatched, scheduled_at(dispatched), now});
       }
       ++dispatched;
     }
@@ -550,6 +637,13 @@ void report_soak_table(const SoakSpec& spec,
   }
   table.print(out);
   for (const SoakResult& result : results) {
+    std::fprintf(out, "terms[%s]:", algo::info(result.algorithm).name);
+    for (const auto& [key, term] : latency_terms(result)) {
+      std::fprintf(out, "  %s p50 %s p99 %s", key,
+                   latency_cell(*term, term->p50()).c_str(),
+                   latency_cell(*term, term->p99()).c_str());
+    }
+    std::fputc('\n', out);
     if (result.shards > 1) {
       for (std::size_t s = 0; s < result.shard_stats.size(); ++s) {
         const ShardStats& shard = result.shard_stats[s];
@@ -598,24 +692,33 @@ void report_soak_table(const SoakSpec& spec,
 
 namespace {
 
-/// The latency block, shared by the merged cell and the per-shard blocks.
+/// One latency block, shared by the merged cell and the per-shard blocks.
 /// Absent (nothing printed) for the empty histogram: a run where every
 /// election was shed or timed out has no latency distribution, and zero
 /// percentiles would fabricate one -- the same unavailable-not-zero
 /// contract the perf block follows.
-void print_latency_block(std::FILE* out,
+void print_latency_block(std::FILE* out, const char* key,
                          const telemetry::LatencyHistogram& latency) {
   if (latency.empty()) return;
   std::fprintf(
       out,
-      ",\"latency\":{\"unit\":\"ns\",\"count\":%llu,\"p50\":%llu,"
+      ",\"%s\":{\"unit\":\"ns\",\"count\":%llu,\"p50\":%llu,"
       "\"p90\":%llu,\"p99\":%llu,\"p999\":%llu,\"max\":%llu}",
-      static_cast<unsigned long long>(latency.count()),
+      key, static_cast<unsigned long long>(latency.count()),
       static_cast<unsigned long long>(latency.p50()),
       static_cast<unsigned long long>(latency.p90()),
       static_cast<unsigned long long>(latency.p99()),
       static_cast<unsigned long long>(latency.p999()),
       static_cast<unsigned long long>(latency.max()));
+}
+
+/// The latency block and its three term blocks, each absent when empty.
+template <typename Stats>
+void print_latency_blocks(std::FILE* out, const Stats& stats) {
+  print_latency_block(out, "latency", stats.latency);
+  for (const auto& [key, term] : latency_terms(stats)) {
+    print_latency_block(out, key, *term);
+  }
 }
 
 void print_perf_block(std::FILE* out, const telemetry::PerfCounts& perf) {
@@ -636,7 +739,7 @@ void report_soak_jsonl(const SoakSpec& spec,
                        const std::vector<SoakResult>& results,
                        std::FILE* out) {
   std::fprintf(out,
-               "{\"type\":\"soak\",\"schema\":\"rts-soak-3\",\"name\":\"%s\","
+               "{\"type\":\"soak\",\"schema\":\"rts-soak-4\",\"name\":\"%s\","
                "\"k\":%d,\"rate\":%s,\"duration_seconds\":%s,\"seed\":%llu,"
                "\"shards\":%d,\"algorithms\":%zu",
                spec.name.c_str(), spec.k, fmt_double(spec.rate).c_str(),
@@ -692,7 +795,7 @@ void report_soak_jsonl(const SoakSpec& spec,
                    static_cast<unsigned long long>(result.faults.no_shows),
                    static_cast<unsigned long long>(result.faults.delays));
     }
-    print_latency_block(out, result.latency);
+    print_latency_blocks(out, result);
     print_perf_block(out, result.perf);
     std::fputs(",\"shard_stats\":[", out);
     for (std::size_t s = 0; s < result.shard_stats.size(); ++s) {
@@ -711,7 +814,7 @@ void report_soak_jsonl(const SoakSpec& spec,
                    static_cast<unsigned long long>(shard.violations),
                    static_cast<unsigned long long>(shard.incomplete),
                    static_cast<unsigned long long>(shard.max_queue));
-      print_latency_block(out, shard.latency);
+      print_latency_blocks(out, shard);
       print_perf_block(out, shard.perf);
       std::fputc('}', out);
     }

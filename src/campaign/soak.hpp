@@ -38,10 +38,18 @@
 // shard is still over `shed_backlog` is dropped, so total queueing is
 // bounded by shards * shed_backlog.
 //
+// Arrivals are issued on time: for the length of the soak the dispatching
+// thread runs at 1 ns timer slack, sleeps to a margin short of each
+// arrival, and spins the rest of the way while no election is queued or in
+// flight (only the dispatcher creates work, so the spin never takes a core
+// an election uses).  Each completed arrival's latency is split into where
+// it went -- generator lateness, queue wait and service -- so a harness
+// gain is never read as a faster election.
+//
 // Latency unit is wall-clock nanoseconds (hw latency; see
 // exec::TrialSummary::latency).  While running, the driver emits heartbeat
-// lines (throughput, backlog, p99 so far, degraded-mode flag) through the
-// shared telemetry formatter.
+// lines (throughput, backlog, p99 so far and per latency term, degraded-mode
+// flag) through the shared telemetry formatter.
 #pragma once
 
 #include <atomic>
@@ -102,7 +110,9 @@ struct SoakSpec {
 
 /// One shard's slice of a soak run.  The merged SoakResult view is the
 /// exact fold of these (see merge_shard_stats); the per-shard blocks also
-/// land in the rts-soak-3 report so hot shards are visible.
+/// land in the rts-soak-4 report so hot shards are visible.  The four
+/// histograms hold one sample each per completed arrival, split as in
+/// SoakResult::latency.
 struct ShardStats {
   std::uint64_t dispatched = 0;  ///< arrivals routed to this shard
   std::uint64_t completed = 0;
@@ -116,6 +126,9 @@ struct ShardStats {
   std::uint64_t max_queue = 0;  ///< worst queued + in-flight depth observed
   fault::FaultCounters faults;
   telemetry::LatencyHistogram latency;
+  telemetry::LatencyHistogram generator_lateness;
+  telemetry::LatencyHistogram queue_wait;
+  telemetry::LatencyHistogram service;
   telemetry::PerfCounts perf;
 };
 
@@ -167,7 +180,18 @@ struct SoakResult {
   /// election completed the histogram is empty and reports render the
   /// latency block as absent -- the same unavailable-not-zero contract
   /// the perf counters follow -- never as fabricated zero percentiles.
+  ///
+  /// Each sample is split into three terms, recorded for the same
+  /// arrivals from the same clock reads, so per arrival they add up
+  /// exactly to its latency sample:
+  ///   generator_lateness  scheduled -> issued (the dispatch pass's now),
+  ///   queue_wait          issued -> the server starts HwTrialPool::run,
+  ///   service             run start -> completion (retries and backoff
+  ///                       included).
   telemetry::LatencyHistogram latency;
+  telemetry::LatencyHistogram generator_lateness;
+  telemetry::LatencyHistogram queue_wait;
+  telemetry::LatencyHistogram service;
   /// Summed participant hardware counters; all-invalid when
   /// perf_event_open is unavailable (report as such, never as zeros).
   telemetry::PerfCounts perf;
@@ -198,6 +222,8 @@ const std::vector<SoakPreset>& all_soak_presets();
 const SoakPreset* find_soak_preset(std::string_view name);
 
 /// Soaks one algorithm.  Heartbeat lines go to `heartbeat` (null disables).
+/// The calling thread is the dispatcher: it runs at 1 ns timer slack until
+/// the call returns or throws, then gets its previous slack back.
 SoakResult run_soak_one(const SoakSpec& spec, algo::AlgorithmId algorithm,
                         std::FILE* heartbeat);
 
@@ -209,9 +235,9 @@ std::vector<SoakResult> run_soak(const SoakSpec& spec, std::FILE* heartbeat);
 void report_soak_table(const SoakSpec& spec,
                        const std::vector<SoakResult>& results, std::FILE* out);
 
-/// Machine-facing report (rts-soak-3): a header line then one JSON object
+/// Machine-facing report (rts-soak-4): a header line then one JSON object
 /// per algorithm, each carrying the merged view plus a per-shard block
-/// array.  Invalid perf counters and the empty latency histogram (nothing
+/// array.  Invalid perf counters and the empty latency histograms (nothing
 /// completed) are *absent*, never fabricated zeros; the faults block
 /// appears only when a fault plan was active.
 void report_soak_jsonl(const SoakSpec& spec,

@@ -92,7 +92,8 @@ bool parse_clause(std::string_view clause, FaultPlan* plan,
     const std::string_view key = trim(pair.substr(0, eq));
     const std::string_view value = trim(pair.substr(eq + 1));
     if (key == "p") {
-      if (!parse_double(value, &p) || p < 0.0 || p > 1.0) {
+      // Written so that NaN, which fails every comparison, fails it too.
+      if (!parse_double(value, &p) || !(p >= 0.0 && p <= 1.0)) {
         return fail(error, "fault probability must be in [0,1], got '" +
                                std::string(value) + "'");
       }

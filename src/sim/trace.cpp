@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 #include "sim/adversaries.hpp"
@@ -286,12 +287,25 @@ bool decode_cell_trace(std::string_view bytes, CellTrace* out,
       !cursor.string(&cell.adversary)) {
     return fail(error, "truncated header strings");
   }
+  // Header fields are refused, never truncated, when wider than their
+  // 32 bits, and n and k must lie in the [1, kMaxProcesses] a run accepts.
   if (!cursor.varint(&value)) return fail(error, "truncated header");
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    return fail(error, "cell index out of range");
+  }
   cell.cell_index = static_cast<std::uint32_t>(value);
-  if (!cursor.varint(&value)) return fail(error, "truncated header");
-  cell.n = static_cast<std::uint32_t>(value);
-  if (!cursor.varint(&value)) return fail(error, "truncated header");
-  cell.k = static_cast<std::uint32_t>(value);
+  const auto process_count = [&](std::uint32_t* field, const char* range) {
+    if (!cursor.varint(&value)) return fail(error, "truncated header");
+    if (value < 1 || value > static_cast<std::uint64_t>(kMaxProcesses)) {
+      return fail(error, range);
+    }
+    *field = static_cast<std::uint32_t>(value);
+    return true;
+  };
+  if (!process_count(&cell.n, "n out of range") ||
+      !process_count(&cell.k, "k out of range")) {
+    return false;
+  }
   if (!cursor.varint(&cell.seed0)) return fail(error, "truncated header");
   if (!cursor.varint(&cell.step_limit)) return fail(error, "truncated header");
   if (version >= 2) {

@@ -13,6 +13,10 @@ namespace rts::sim {
 using RegId = std::uint32_t;
 inline constexpr RegId kInvalidReg = std::numeric_limits<RegId>::max();
 
+/// Largest contention level k and object capacity n a run may name: the
+/// bound of rts_bench's --ks and --n and of an .rtst header's n and k.
+inline constexpr int kMaxProcesses = 1'000'000;
+
 enum class OpKind : std::uint8_t { kRead, kWrite };
 
 /// Marks which aspects of an operation were chosen at random by the process.

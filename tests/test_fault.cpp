@@ -137,6 +137,12 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
       << "stall with p > 0 needs a positive duration";
   EXPECT_FALSE(FaultPlan::parse("delay:p=0.5,us=0", nullptr).has_value());
   EXPECT_FALSE(FaultPlan::parse("noshow:frequency=0.5", nullptr).has_value());
+  // Non-finite probabilities: NaN fails every comparison, so a range check
+  // written as `p < 0 || p > 1` would let it through and inject nothing.
+  for (const char* spec : {"delay:p=nan,us=200000", "delay:p=-nan,us=200000",
+                           "delay:p=inf,us=200000"}) {
+    EXPECT_FALSE(FaultPlan::parse(spec, &error).has_value()) << spec;
+  }
 }
 
 TEST(FaultPlan, ForTrialIsPureInSeed) {

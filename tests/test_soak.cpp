@@ -3,16 +3,19 @@
 //  * ShardRouter: least-backlog selection, deterministic round-robin
 //    tie-breaking, cursor continuity across picks,
 //  * shard_pin_slice: round-robin CPU partition, ragged and empty cases,
-//  * merge_shard_stats: merged histogram bytes and outcome totals are a
-//    pure function of the sample multiset -- identical however the samples
-//    are partitioned across 1/2/4 shards,
+//  * merge_shard_stats: merged histogram bytes (latency and its three
+//    terms) and outcome totals are a pure function of the sample multiset
+//    -- identical however the samples are partitioned across 1/2/4 shards,
 //  * the empty-latency contract: a run where nothing completed renders the
-//    latency block as *absent* (jsonl) / "-" (table), never fabricated
-//    zero percentiles,
+//    latency and term blocks as *absent* (jsonl) / "-" (table), never
+//    fabricated zero percentiles,
 //  * end-to-end sharded soak: every dispatched arrival lands in exactly
 //    one outcome bucket and the merged view equals the per-shard fold,
 //  * outcome-taxonomy totals identical across shard counts on a fixed,
 //    sustainable schedule,
+//  * the latency split: generator lateness, queue wait and service add up
+//    to each arrival's latency, and the dispatcher's fine timer slack is
+//    undone when the soak returns,
 //  * checked CLI numeric parsing (the atoi-hardening bugfix),
 //  * HwTrialPool deadline-watchdog shutdown ordering: repeated
 //    construct/cancel/destruct stress (ASan/UBSan coverage) and the
@@ -21,11 +24,17 @@
 //    by HwTrialPool::run, a campaign hw cell, and a soak.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
 
 #include "algo/registry.hpp"
 #include "campaign/cli.hpp"
@@ -111,7 +120,13 @@ SoakResult merged_over(const std::vector<std::uint64_t>& samples, int shards) {
     ShardStats& shard = stats[i % static_cast<std::size_t>(shards)];
     ++shard.dispatched;
     ++shard.completed;
+    // A split of each sample into the three terms, as serve_one records.
+    const std::uint64_t lateness = samples[i] / 7;
+    const std::uint64_t queue_wait = samples[i] / 3;
     shard.latency.record(samples[i]);
+    shard.generator_lateness.record(lateness);
+    shard.queue_wait.record(queue_wait);
+    shard.service.record(samples[i] - lateness - queue_wait);
   }
   SoakResult result;
   merge_shard_stats(stats, &result);
@@ -121,22 +136,33 @@ SoakResult merged_over(const std::vector<std::uint64_t>& samples, int shards) {
 TEST(MergeShardStats, HistogramBytesInvariantAcrossShardCounts) {
   const std::vector<std::uint64_t> samples = synthetic_samples(5000);
   const SoakResult one = merged_over(samples, 1);
+  using Histogram = telemetry::LatencyHistogram SoakResult::*;
+  const std::pair<const char*, Histogram> histograms[] = {
+      {"latency", &SoakResult::latency},
+      {"generator_lateness", &SoakResult::generator_lateness},
+      {"queue_wait", &SoakResult::queue_wait},
+      {"service", &SoakResult::service}};
   for (const int shards : {2, 4}) {
     const SoakResult split = merged_over(samples, shards);
     EXPECT_EQ(split.completed, one.completed);
-    EXPECT_EQ(split.latency.count(), one.latency.count());
-    EXPECT_EQ(split.latency.min(), one.latency.min());
-    EXPECT_EQ(split.latency.max(), one.latency.max());
-    // The merge is an elementwise add, so every bucket -- not just the
-    // published percentiles -- must match the single-shard fold exactly.
-    for (std::size_t b = 0; b < telemetry::LatencyHistogram::kBucketCount;
-         ++b) {
-      ASSERT_EQ(split.latency.bucket_count_at(b), one.latency.bucket_count_at(b))
-          << "bucket " << b << " diverged at " << shards << " shards";
+    for (const auto& [name, member] : histograms) {
+      const telemetry::LatencyHistogram& got = split.*member;
+      const telemetry::LatencyHistogram& want = one.*member;
+      EXPECT_EQ(got.count(), samples.size()) << name;
+      EXPECT_EQ(got.min(), want.min()) << name;
+      EXPECT_EQ(got.max(), want.max()) << name;
+      // The merge is an elementwise add, so every bucket -- not just the
+      // published percentiles -- must match the single-shard fold exactly.
+      for (std::size_t b = 0; b < telemetry::LatencyHistogram::kBucketCount;
+           ++b) {
+        ASSERT_EQ(got.bucket_count_at(b), want.bucket_count_at(b))
+            << name << " bucket " << b << " diverged at " << shards
+            << " shards";
+      }
+      EXPECT_EQ(got.p50(), want.p50()) << name;
+      EXPECT_EQ(got.p99(), want.p99()) << name;
+      EXPECT_EQ(got.p999(), want.p999()) << name;
     }
-    EXPECT_EQ(split.latency.p50(), one.latency.p50());
-    EXPECT_EQ(split.latency.p99(), one.latency.p99());
-    EXPECT_EQ(split.latency.p999(), one.latency.p999());
   }
 }
 
@@ -224,12 +250,16 @@ TEST(LatencyContract, AllShedRunOmitsTheJsonlLatencyBlock) {
   spec.shed_backlog = 4;
   const std::vector<SoakResult> results{all_shed_result()};
   const std::string jsonl = render(report_soak_jsonl, spec, results);
-  EXPECT_NE(jsonl.find("\"schema\":\"rts-soak-3\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"schema\":\"rts-soak-4\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"shed\":10"), std::string::npos);
   EXPECT_NE(jsonl.find("\"degraded\":true"), std::string::npos);
-  // Nothing completed: no latency distribution exists, so the block is
-  // absent -- in the merged cell and in the per-shard block alike.
-  EXPECT_EQ(jsonl.find("\"latency\""), std::string::npos);
+  // Nothing completed: no latency distribution exists, so the block and
+  // its three term blocks are absent -- in the merged cell and in the
+  // per-shard block alike.
+  for (const char* block : {"\"latency\"", "\"generator_lateness\"",
+                            "\"queue_wait\"", "\"service\""}) {
+    EXPECT_EQ(jsonl.find(block), std::string::npos) << block;
+  }
   EXPECT_EQ(jsonl.find("\"p99\""), std::string::npos);
 }
 
@@ -241,6 +271,11 @@ TEST(LatencyContract, AllShedRunRendersDashesInTheTable) {
   // The percentile columns show absence, not format_ns(0).
   EXPECT_NE(table.find(" - "), std::string::npos);
   EXPECT_EQ(table.find("0ns"), std::string::npos);
+  // So does every term of the latency split.
+  EXPECT_NE(table.find("terms[tournament]:  generator_lateness p50 - p99 -  "
+                       "queue_wait p50 - p99 -  service p50 - p99 -\n"),
+            std::string::npos)
+      << table;
 }
 
 // ------------------------------------------------------ end-to-end soak --
@@ -302,6 +337,64 @@ TEST(ShardedSoak, OutcomeTotalsInvariantAcrossShardCounts) {
     EXPECT_EQ(result.latency.count(), result.planned);
   }
 }
+
+// ------------------------------------------------------ latency split --
+
+TEST(LatencySplit, TermsAddUpToTheLatencyOfEachArrival) {
+  // Each completed arrival records latency and its three terms from the
+  // same clock reads, in integer nanoseconds, so the four histograms hold
+  // the same arrivals and their sums agree exactly; the means may differ
+  // only by the rounding of three divisions.
+  for (const int shards : {1, 2}) {
+    SoakSpec spec = sharded_spec(shards);
+    spec.duration_seconds = 0.3;
+    spec.rate = 2000.0;
+    const SoakResult result =
+        run_soak_one(spec, spec.algorithms.front(), nullptr);
+    ASSERT_GT(result.completed, 0u) << shards << " shards";
+    EXPECT_EQ(result.latency.count(), result.completed);
+    EXPECT_EQ(result.generator_lateness.count(), result.latency.count());
+    EXPECT_EQ(result.queue_wait.count(), result.latency.count());
+    EXPECT_EQ(result.service.count(), result.latency.count());
+    EXPECT_NEAR(result.generator_lateness.mean() + result.queue_wait.mean() +
+                    result.service.mean(),
+                result.latency.mean(), 1.0)
+        << shards << " shards";
+    for (const ShardStats& shard : result.shard_stats) {
+      EXPECT_EQ(shard.generator_lateness.count(), shard.latency.count());
+      EXPECT_EQ(shard.queue_wait.count(), shard.latency.count());
+      EXPECT_EQ(shard.service.count(), shard.latency.count());
+    }
+  }
+}
+
+#if defined(__linux__)
+TEST(LatencySplit, DispatcherGetsItsTimerSlackBack) {
+  // The dispatcher runs at 1 ns slack only for the length of the soak: a
+  // normal run and a run cancelled before its first arrival both hand the
+  // caller's slack back.
+  constexpr int kSlackNs = 123456;
+  const int before = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+  ASSERT_EQ(prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(kSlackNs), 0,
+                  0, 0),
+            0);
+  SoakSpec spec = sharded_spec(1);
+  spec.duration_seconds = 0.05;
+  spec.rate = 200.0;
+  const SoakResult served =
+      run_soak_one(spec, spec.algorithms.front(), nullptr);
+  EXPECT_GT(served.completed, 0u);
+  EXPECT_EQ(prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0), kSlackNs);
+
+  std::atomic<bool> cancel{true};
+  spec.cancel = &cancel;
+  const SoakResult cancelled =
+      run_soak_one(spec, spec.algorithms.front(), nullptr);
+  EXPECT_TRUE(cancelled.interrupted);
+  EXPECT_EQ(prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0), kSlackNs);
+  prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(before), 0, 0, 0);
+}
+#endif
 
 // ------------------------------------------------- checked flag parsing --
 

@@ -116,6 +116,37 @@ TEST(TraceFormat, EncodeDecodeRoundTripsEveryField) {
   }
 }
 
+/// `payload` with a fresh FNV-1a trailer, so a mutant reaches the parser
+/// instead of failing corruption detection.
+std::string resealed(std::string payload) {
+  std::uint64_t checksum = support::kFnv1aOffset;
+  support::fnv1a_bytes(checksum, payload);
+  for (int byte = 0; byte < 8; ++byte) {
+    payload.push_back(static_cast<char>((checksum >> (8 * byte)) & 0xffu));
+  }
+  return payload;
+}
+
+/// sample_cell()'s resealed encoding with the header's cell_index, n and k
+/// varints replaced by the given values.
+std::string with_header(std::uint64_t cell_index, std::uint64_t n,
+                        std::uint64_t k) {
+  const std::string bytes = encode_cell_trace(sample_cell());
+  // The three fields follow the adversary name, one byte each (7, 6, 5).
+  const std::size_t name = bytes.find("crash\x07\x06\x05");
+  EXPECT_NE(name, std::string::npos);
+  const std::size_t at = name + 5;
+  std::string payload = bytes.substr(0, at);
+  for (std::uint64_t value : {cell_index, n, k}) {  // LEB128, as encoded
+    for (; value >= 0x80; value >>= 7) {
+      payload.push_back(static_cast<char>((value & 0x7f) | 0x80));
+    }
+    payload.push_back(static_cast<char>(value));
+  }
+  payload += bytes.substr(at + 3, bytes.size() - 8 - (at + 3));
+  return resealed(std::move(payload));
+}
+
 TEST(TraceFormat, RejectsCorruptTruncatedAndForeignBytes) {
   const std::string bytes = encode_cell_trace(sample_cell());
   CellTrace out;
@@ -135,13 +166,22 @@ TEST(TraceFormat, RejectsCorruptTruncatedAndForeignBytes) {
   // failure exercised is the version gate and not corruption detection.
   std::string wrong_version = bytes.substr(0, bytes.size() - 8);
   wrong_version[8] = 0x7e;
-  std::uint64_t checksum = support::kFnv1aOffset;
-  support::fnv1a_bytes(checksum, wrong_version);
-  for (int byte = 0; byte < 8; ++byte) {
-    wrong_version.push_back(static_cast<char>((checksum >> (8 * byte)) & 0xffu));
-  }
-  EXPECT_FALSE(decode_cell_trace(wrong_version, &out, &error));
+  EXPECT_FALSE(decode_cell_trace(resealed(wrong_version), &out, &error));
   EXPECT_NE(error.find("version"), std::string::npos) << error;
+
+  // Header fields past their bounds are refused, not truncated to 32 bits:
+  // cell_index = 2^32 would decode as cell 0 and n = 2^32 + 5 as n = 5.
+  ASSERT_TRUE(decode_cell_trace(with_header(7, 6, 5), &out, &error)) << error;
+  constexpr std::uint64_t kMax = static_cast<std::uint64_t>(kMaxProcesses);
+  for (const std::string& mutant :
+       {with_header(std::uint64_t{1} << 32, 6, 5),
+        with_header(7, (std::uint64_t{1} << 32) + 5, 5),
+        with_header(7, kMax + 1, 5), with_header(7, 6, 0)}) {
+    error.clear();
+    EXPECT_FALSE(decode_cell_trace(mutant, &out, &error));
+    EXPECT_EQ(error.rfind("trace: ", 0), 0u) << error;
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  }
 }
 
 TEST(TraceFormat, FileRoundTripAndFilenames) {
