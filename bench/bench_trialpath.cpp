@@ -67,14 +67,14 @@ sim::Kernel::Options kernel_options_of(const campaign::CellSpec& cell) {
   return options;
 }
 
-/// Lane width for the batched path: one trial per block, the width the
-/// campaign executor runs eligible cells at.  Wider lockstep blocks were
-/// never faster than one lane on paper-le.
+/// Block size for the batched path: one trial per block, as the campaign
+/// executor runs eligible cells.  Longer blocks run their trials one after
+/// another, so they only change how often the workspace cache refills.
 constexpr int kBatchLanes = 1;
 
 bool batch_eligible(const campaign::CellSpec& cell) {
   return algo::batch_supported(cell.algorithm) &&
-         algo::batch_sched(cell.adversary).has_value();
+         algo::batch_schedulable(cell.adversary);
 }
 
 std::unique_ptr<sim::BatchStream> make_cell_batch_stream(

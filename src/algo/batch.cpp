@@ -1,5 +1,5 @@
 // Explicit state-machine twins of the fiber-based algorithms, for the
-// batched SoA trial engine (sim/batch.hpp).
+// step-machine trial engine (sim/batch.hpp).
 //
 // Invariance discipline: every machine reproduces its scalar twin's
 // shared-memory op sequence and per-pid PRNG draw order EXACTLY -- the
@@ -47,8 +47,8 @@ struct Sub {
   static Sub done(std::uint64_t val) { return Sub{K::kDone, 0, val}; }
 };
 
-/// Per-(lane, pid) scratch for whichever primitive is active; fields are
-/// reused across primitive kinds (see each primitive's comments).
+/// Per-pid scratch for whichever primitive is active; fields are reused
+/// across primitive kinds (see each primitive's comments).
 struct LeafState {
   std::uint8_t pc = 0;
   std::uint8_t side = 0;   // le2: own side; sift: do_write
@@ -251,9 +251,9 @@ class ChainCore {
  public:
   /// Lays the chain out at [reg_base, reg_base + num_registers()):
   /// per stage, the GE slots (if any), then splitter X/Y, then LE2 R0/R1.
-  ChainCore(int lanes, int k, std::uint32_t reg_base, int length,
-            GeSpec ge, int participation)
-      : ge_(std::move(ge)), participation_(participation), k_(k) {
+  ChainCore(int k, std::uint32_t reg_base, int length, GeSpec ge,
+            int participation)
+      : ge_(std::move(ge)), participation_(participation) {
     RTS_ASSERT(length >= 1 && participation >= 1 && participation <= length);
     ge_base_.reserve(static_cast<std::size_t>(length));
     sp_base_.reserve(static_cast<std::size_t>(length));
@@ -270,7 +270,7 @@ class ChainCore {
       cursor += 2;
     }
     reg_end_ = cursor;
-    st_.resize(static_cast<std::size_t>(lanes) * static_cast<std::size_t>(k));
+    st_.resize(static_cast<std::size_t>(k));
   }
 
   std::uint32_t reg_end() const { return reg_end_; }
@@ -279,14 +279,14 @@ class ChainCore {
     return ge_declared_ + ge_base_.size() * 4;
   }
 
-  Sub start(int lane, int pid, support::PrngSource& rng) {
-    PidState& s = state(lane, pid);
+  Sub start(int pid, support::PrngSource& rng) {
+    PidState& s = st_[static_cast<std::size_t>(pid)];
     s.i = 0;
     return enter_stage(s, pid, rng);
   }
 
-  Sub on(int lane, int pid, support::PrngSource& rng, std::uint64_t result) {
-    PidState& s = state(lane, pid);
+  Sub on(int pid, support::PrngSource& rng, std::uint64_t result) {
+    PidState& s = st_[static_cast<std::size_t>(pid)];
     switch (s.phase) {
       case Phase::kGe: {
         const Sub sub =
@@ -350,11 +350,6 @@ class ChainCore {
     return i < static_cast<int>(ge_.thresholds.size()) ? 1 : 0;
   }
 
-  PidState& state(int lane, int pid) {
-    return st_[static_cast<std::size_t>(lane) * static_cast<std::size_t>(k_) +
-               static_cast<std::size_t>(pid)];
-  }
-
   Sub enter_stage(PidState& s, int pid, support::PrngSource& rng) {
     if (s.i >= participation_) return Sub::done(kChainForward);
     const auto idx = static_cast<std::size_t>(s.i);
@@ -372,7 +367,6 @@ class ChainCore {
 
   GeSpec ge_;
   int participation_;
-  int k_;
   std::vector<std::uint32_t> ge_base_;  // kNoGe for dummy stages
   std::vector<std::uint32_t> sp_base_;
   std::vector<std::uint32_t> le_base_;
@@ -404,21 +398,20 @@ GeSpec sift_spec(int n) {
 
 class ChainMachine final : public sim::BatchAlgorithm {
  public:
-  ChainMachine(int lanes, int k, std::uint32_t reg_base, int n, GeSpec ge)
-      : core_(lanes, k, reg_base, n, std::move(ge), /*participation=*/n) {}
+  ChainMachine(int k, std::uint32_t reg_base, int n, GeSpec ge)
+      : core_(k, reg_base, n, std::move(ge), /*participation=*/n) {}
 
   std::size_t num_registers() const override { return core_.reg_end(); }
   std::size_t declared_registers() const override {
     return core_.declared_registers();
   }
-  void reset_trial(int) override {}  // start() reinitializes every pid
 
-  BatchAction start(int lane, int pid, support::PrngSource& rng) override {
-    return finish_or_announce(core_.start(lane, pid, rng));
+  BatchAction start(int pid, support::PrngSource& rng) override {
+    return finish_or_announce(core_.start(pid, rng));
   }
-  BatchAction resume(int lane, int pid, support::PrngSource& rng,
+  BatchAction resume(int pid, support::PrngSource& rng,
                      std::uint64_t result) override {
-    return finish_or_announce(core_.on(lane, pid, rng, result));
+    return finish_or_announce(core_.on(pid, rng, result));
   }
 
  private:
@@ -440,7 +433,7 @@ class ChainMachine final : public sim::BatchAlgorithm {
 
 class CascadeMachine final : public sim::BatchAlgorithm {
  public:
-  CascadeMachine(int lanes, int k, std::uint32_t reg_base, int n) : k_(k) {
+  CascadeMachine(int k, std::uint32_t reg_base, int n) {
     // Level sizes 4, 16, 65536, ... capped at n -- SiftCascadeLe's loop.
     std::vector<int> sizes;
     for (int i = 0;; ++i) {
@@ -462,7 +455,7 @@ class CascadeMachine final : public sim::BatchAlgorithm {
       const int schedule_len = static_cast<int>(spec.thresholds.size());
       const int chain_len = last ? std::max(n, schedule_len) : schedule_len;
       const int participation = last ? chain_len : schedule_len;
-      levels_.emplace_back(lanes, k, cursor, chain_len, std::move(spec),
+      levels_.emplace_back(k, cursor, chain_len, std::move(spec),
                            participation);
       cursor = levels_.back().reg_end();
     }
@@ -472,7 +465,7 @@ class CascadeMachine final : public sim::BatchAlgorithm {
       cursor += 2;
     }
     reg_end_ = cursor;
-    st_.resize(static_cast<std::size_t>(lanes) * static_cast<std::size_t>(k));
+    st_.resize(static_cast<std::size_t>(k));
   }
 
   std::size_t num_registers() const override { return reg_end_; }
@@ -481,26 +474,25 @@ class CascadeMachine final : public sim::BatchAlgorithm {
     for (const auto& level : levels_) total += level.declared_registers();
     return total + finals_base_.size() * 2;
   }
-  void reset_trial(int) override {}
 
-  BatchAction start(int lane, int pid, support::PrngSource& rng) override {
-    PidState& s = state(lane, pid);
+  BatchAction start(int pid, support::PrngSource& rng) override {
+    PidState& s = st_[static_cast<std::size_t>(pid)];
     s.in_finals = false;
     s.level = 0;
-    return advance(s, lane, pid, rng, levels_[0].start(lane, pid, rng));
+    return advance(s, pid, rng, levels_[0].start(pid, rng));
   }
 
-  BatchAction resume(int lane, int pid, support::PrngSource& rng,
+  BatchAction resume(int pid, support::PrngSource& rng,
                      std::uint64_t result) override {
-    PidState& s = state(lane, pid);
+    PidState& s = st_[static_cast<std::size_t>(pid)];
     if (s.in_finals) {
       const Sub sub = le2_on(s.leaf, finals_base_[s.j], rng, result);
       if (sub.k != Sub::K::kDone) return announce(sub);
       return finals_step(s, static_cast<Outcome>(sub.val));
     }
-    return advance(s, lane, pid, rng,
-                   levels_[static_cast<std::size_t>(s.level)].on(lane, pid,
-                                                                 rng, result));
+    return advance(s, pid, rng,
+                   levels_[static_cast<std::size_t>(s.level)].on(pid, rng,
+                                                                 result));
   }
 
  private:
@@ -511,11 +503,6 @@ class CascadeMachine final : public sim::BatchAlgorithm {
     LeafState leaf;
   };
 
-  PidState& state(int lane, int pid) {
-    return st_[static_cast<std::size_t>(lane) * static_cast<std::size_t>(k_) +
-               static_cast<std::size_t>(pid)];
-  }
-
   static BatchAction announce(const Sub& sub) {
     return sub.k == Sub::K::kRead ? BatchAction::read(sub.reg)
                                   : BatchAction::write(sub.reg, sub.val);
@@ -523,8 +510,8 @@ class CascadeMachine final : public sim::BatchAlgorithm {
 
   /// Routes a level-chain Sub: forwards to the next level, funnels winners
   /// into the final descent, loses losers.
-  BatchAction advance(PidState& s, int lane, int pid,
-                      support::PrngSource& rng, Sub sub) {
+  BatchAction advance(PidState& s, int pid, support::PrngSource& rng,
+                      Sub sub) {
     for (;;) {
       if (sub.k != Sub::K::kDone) return announce(sub);
       switch (sub.val) {
@@ -535,8 +522,7 @@ class CascadeMachine final : public sim::BatchAlgorithm {
                                            levels_.size()),
                          "last cascade level must not forward");
           ++s.level;
-          sub = levels_[static_cast<std::size_t>(s.level)].start(lane, pid,
-                                                                 rng);
+          sub = levels_[static_cast<std::size_t>(s.level)].start(pid, rng);
           continue;
         default: {  // kChainWin: enter the final LE2 descent
           if (finals_base_.empty()) {
@@ -564,7 +550,6 @@ class CascadeMachine final : public sim::BatchAlgorithm {
     return announce(le2_begin(s.leaf, finals_base_[s.j], 1));
   }
 
-  int k_;
   std::vector<ChainCore> levels_;
   std::vector<std::uint32_t> finals_base_;
   std::uint32_t reg_end_ = 0;
@@ -577,9 +562,8 @@ class CascadeMachine final : public sim::BatchAlgorithm {
 
 class RatRacePathMachine final : public sim::BatchAlgorithm {
  public:
-  RatRacePathMachine(int lanes, int k, std::uint32_t reg_base, int n)
-      : k_(k),
-        n_(n),
+  RatRacePathMachine(int k, std::uint32_t reg_base, int n)
+      : n_(n),
         height_(std::max(
             1, support::log2_ceil(
                    static_cast<std::uint64_t>(std::max(2, n))))) {
@@ -598,7 +582,7 @@ class RatRacePathMachine final : public sim::BatchAlgorithm {
                                    static_cast<std::uint64_t>(path_len_) * 4);
     top_base_ = backup_base_ + static_cast<std::uint32_t>(n) * 4;
     reg_end_ = top_base_ + 2;
-    st_.resize(static_cast<std::size_t>(lanes) * static_cast<std::size_t>(k));
+    st_.resize(static_cast<std::size_t>(k));
   }
 
   std::size_t num_registers() const override { return reg_end_; }
@@ -608,16 +592,15 @@ class RatRacePathMachine final : public sim::BatchAlgorithm {
                static_cast<std::size_t>(path_len_) * 4 +
            static_cast<std::size_t>(n_) * 4 + 2;
   }
-  void reset_trial(int) override {}
 
-  /// Whether (lane, pid) has won any splitter this trial -- the combiner's
-  /// rule-3 input, exactly RatRacePath::won_splitter.
-  bool won_splitter(int lane, int pid) {
-    return state(lane, pid).won != 0;
+  /// Whether pid has won any splitter this trial -- the combiner's rule-3
+  /// input, exactly RatRacePath::won_splitter.
+  bool won_splitter(int pid) const {
+    return st_[static_cast<std::size_t>(pid)].won != 0;
   }
 
-  BatchAction start(int lane, int pid, support::PrngSource&) override {
-    PidState& s = state(lane, pid);
+  BatchAction start(int pid, support::PrngSource&) override {
+    PidState& s = st_[static_cast<std::size_t>(pid)];
     s.phase = Phase::kDescend;
     s.node_id = 1;
     s.depth = 0;
@@ -625,9 +608,9 @@ class RatRacePathMachine final : public sim::BatchAlgorithm {
     return announce(split_begin(s.leaf, node_base(1), pid));
   }
 
-  BatchAction resume(int lane, int pid, support::PrngSource& rng,
+  BatchAction resume(int pid, support::PrngSource& rng,
                      std::uint64_t result) override {
-    PidState& s = state(lane, pid);
+    PidState& s = st_[static_cast<std::size_t>(pid)];
     switch (s.phase) {
       case Phase::kDescend: {
         const Sub sub =
@@ -761,11 +744,6 @@ class RatRacePathMachine final : public sim::BatchAlgorithm {
     LeafState leaf;
   };
 
-  PidState& state(int lane, int pid) {
-    return st_[static_cast<std::size_t>(lane) * static_cast<std::size_t>(k_) +
-               static_cast<std::size_t>(pid)];
-  }
-
   static BatchAction announce(const Sub& sub) {
     return sub.k == Sub::K::kRead ? BatchAction::read(sub.reg)
                                   : BatchAction::write(sub.reg, sub.val);
@@ -801,7 +779,6 @@ class RatRacePathMachine final : public sim::BatchAlgorithm {
     return announce(le2_begin(s.leaf, top_base_, side));
   }
 
-  int k_;
   int n_;
   int height_;
   std::uint64_t group_size_ = 1;
@@ -826,38 +803,33 @@ class RatRacePathMachine final : public sim::BatchAlgorithm {
 
 class CombinedMachine final : public sim::BatchAlgorithm {
  public:
-  CombinedMachine(int lanes, int k, std::uint32_t reg_base, int n,
+  CombinedMachine(int k, std::uint32_t reg_base, int n,
                   std::unique_ptr<sim::BatchAlgorithm> (*make_a)(
-                      int, int, std::uint32_t, int))
-      : k_(k), rr_(lanes, k, reg_base, n) {
-    a_ = make_a(lanes, k,
-                reg_base + static_cast<std::uint32_t>(rr_.num_registers()),
+                      int, std::uint32_t, int))
+      : rr_(k, reg_base, n) {
+    a_ = make_a(k, reg_base + static_cast<std::uint32_t>(rr_.num_registers()),
                 n);
     top_base_ = reg_base +
                 static_cast<std::uint32_t>(rr_.num_registers()) +
                 static_cast<std::uint32_t>(a_->num_registers());
     reg_end_ = top_base_ + 2;
-    st_.resize(static_cast<std::size_t>(lanes) * static_cast<std::size_t>(k));
+    st_.resize(static_cast<std::size_t>(k));
   }
 
   std::size_t num_registers() const override { return reg_end_; }
   std::size_t declared_registers() const override {
     return rr_.declared_registers() + a_->declared_registers() + 2;
   }
-  void reset_trial(int lane) override {
-    rr_.reset_trial(lane);
-    a_->reset_trial(lane);
-  }
 
-  BatchAction start(int lane, int pid, support::PrngSource& rng) override {
-    PidState& s = state(lane, pid);
+  BatchAction start(int pid, support::PrngSource& rng) override {
+    PidState& s = st_[static_cast<std::size_t>(pid)];
     s = PidState{};
-    return coordinate(s, lane, pid, rng);
+    return coordinate(s, pid, rng);
   }
 
-  BatchAction resume(int lane, int pid, support::PrngSource& rng,
+  BatchAction resume(int pid, support::PrngSource& rng,
                      std::uint64_t result) override {
-    PidState& s = state(lane, pid);
+    PidState& s = st_[static_cast<std::size_t>(pid)];
     if (s.in_top) {
       const Sub sub = le2_on(s.top_leaf, top_base_, rng, result);
       if (sub.k == Sub::K::kRead) return BatchAction::read(sub.reg);
@@ -868,7 +840,7 @@ class CombinedMachine final : public sim::BatchAlgorithm {
     // child consumes it on its next turn.
     s.parked[s.pending_child] = result;
     s.status[s.pending_child] = Status::kParked;
-    return coordinate(s, lane, pid, rng);
+    return coordinate(s, pid, rng);
   }
 
  private:
@@ -885,16 +857,10 @@ class CombinedMachine final : public sim::BatchAlgorithm {
     LeafState top_leaf;
   };
 
-  PidState& state(int lane, int pid) {
-    return st_[static_cast<std::size_t>(lane) * static_cast<std::size_t>(k_) +
-               static_cast<std::size_t>(pid)];
-  }
-
   /// The combination rules + turn-taking of CombinedLe::elect, advancing
   /// children until one of them announces an op or a rule resolves the
   /// election.
-  BatchAction coordinate(PidState& s, int lane, int pid,
-                         support::PrngSource& rng) {
+  BatchAction coordinate(PidState& s, int pid, support::PrngSource& rng) {
     for (;;) {
       // Rule 1: a win in either execution goes to LE_top.
       if (s.out[0] == Outcome::kWin) return enter_top(s, 0);
@@ -905,7 +871,7 @@ class CombinedMachine final : public sim::BatchAlgorithm {
       }
       // Rule 3: losing A loses only without a splitter win in RatRace.
       if (s.out[1] == Outcome::kLose && !s.a_abandoned) {
-        if (!rr_.won_splitter(lane, pid)) {
+        if (!rr_.won_splitter(pid)) {
           return BatchAction::finish(Outcome::kLose);
         }
         s.a_abandoned = true;
@@ -920,8 +886,8 @@ class CombinedMachine final : public sim::BatchAlgorithm {
           c == 0 ? static_cast<sim::BatchAlgorithm&>(rr_) : *a_;
       const BatchAction act =
           s.status[c] == Status::kUnstarted
-              ? child.start(lane, pid, rng)
-              : child.resume(lane, pid, rng, s.parked[c]);
+              ? child.start(pid, rng)
+              : child.resume(pid, rng, s.parked[c]);
       if (act.kind == BatchAction::Kind::kFinish) {
         s.out[c] = act.outcome;
         s.status[c] = Status::kDone;
@@ -938,7 +904,6 @@ class CombinedMachine final : public sim::BatchAlgorithm {
     return BatchAction::write(sub.reg, sub.val);  // le2 opens with a write
   }
 
-  int k_;
   RatRacePathMachine rr_;
   std::unique_ptr<sim::BatchAlgorithm> a_;
   std::uint32_t top_base_ = 0;
@@ -946,37 +911,37 @@ class CombinedMachine final : public sim::BatchAlgorithm {
   std::vector<PidState> st_;
 };
 
-std::unique_ptr<sim::BatchAlgorithm> make_logstar(int lanes, int k,
-                                                  std::uint32_t base, int n) {
-  return std::make_unique<ChainMachine>(lanes, k, base, n, fig1_spec(n));
+std::unique_ptr<sim::BatchAlgorithm> make_logstar(int k, std::uint32_t base,
+                                                  int n) {
+  return std::make_unique<ChainMachine>(k, base, n, fig1_spec(n));
 }
 
-std::unique_ptr<sim::BatchAlgorithm> make_sift_chain(int lanes, int k,
+std::unique_ptr<sim::BatchAlgorithm> make_sift_chain(int k,
                                                      std::uint32_t base,
                                                      int n) {
-  return std::make_unique<ChainMachine>(lanes, k, base, n, sift_spec(n));
+  return std::make_unique<ChainMachine>(k, base, n, sift_spec(n));
 }
 
-std::unique_ptr<sim::BatchAlgorithm> make_cascade(int lanes, int k,
-                                                  std::uint32_t base, int n) {
-  return std::make_unique<CascadeMachine>(lanes, k, base, n);
+std::unique_ptr<sim::BatchAlgorithm> make_cascade(int k, std::uint32_t base,
+                                                  int n) {
+  return std::make_unique<CascadeMachine>(k, base, n);
 }
 
-std::unique_ptr<sim::BatchAlgorithm> make_machine(AlgorithmId id, int lanes,
-                                                  int k, int n) {
+std::unique_ptr<sim::BatchAlgorithm> make_machine(AlgorithmId id, int k,
+                                                  int n) {
   switch (id) {
     case AlgorithmId::kLogStarChain:
-      return make_logstar(lanes, k, 0, n);
+      return make_logstar(k, 0, n);
     case AlgorithmId::kSiftChain:
-      return make_sift_chain(lanes, k, 0, n);
+      return make_sift_chain(k, 0, n);
     case AlgorithmId::kSiftCascade:
-      return make_cascade(lanes, k, 0, n);
+      return make_cascade(k, 0, n);
     case AlgorithmId::kRatRacePath:
-      return std::make_unique<RatRacePathMachine>(lanes, k, 0, n);
+      return std::make_unique<RatRacePathMachine>(k, 0, n);
     case AlgorithmId::kCombinedLogStar:
-      return std::make_unique<CombinedMachine>(lanes, k, 0, n, &make_logstar);
+      return std::make_unique<CombinedMachine>(k, 0, n, &make_logstar);
     case AlgorithmId::kCombinedSift:
-      return std::make_unique<CombinedMachine>(lanes, k, 0, n, &make_cascade);
+      return std::make_unique<CombinedMachine>(k, 0, n, &make_cascade);
     default:
       return nullptr;
   }
@@ -984,35 +949,21 @@ std::unique_ptr<sim::BatchAlgorithm> make_machine(AlgorithmId id, int lanes,
 
 }  // namespace
 
-std::optional<sim::BatchSched> batch_sched(AdversaryId id) {
-  switch (id) {
-    case AdversaryId::kUniformRandom:
-      return sim::BatchSched::kUniformRandom;
-    case AdversaryId::kRoundRobin:
-      return sim::BatchSched::kRoundRobin;
-    case AdversaryId::kSequential:
-      return sim::BatchSched::kSequential;
-    case AdversaryId::kCrashAfterOps:
-      return sim::BatchSched::kCrashAfterOps;
-    case AdversaryId::kAbortAfterOps:   // injects aborts: machines can't see
-    case AdversaryId::kGeNeutralizer:   // adaptive: reads live kernel state
-    case AdversaryId::kReplay:          // needs a recorded trace
-      return std::nullopt;
-  }
-  return std::nullopt;
+bool batch_supported(AlgorithmId id) {
+  return make_machine(id, 1, 2) != nullptr;
 }
 
-bool batch_supported(AlgorithmId id) {
-  return make_machine(id, 1, 1, 2) != nullptr;
+bool batch_schedulable(AdversaryId id) {
+  const AdversaryInfo& adversary = info(id);
+  return adversary.clazz == sim::AdversaryClass::kOblivious &&
+         !adversary.from_trace;
 }
 
 std::unique_ptr<sim::BatchStream> make_batch_stream(
     AlgorithmId algorithm, AdversaryId adversary, int n, int k, int lanes,
     std::uint64_t seed0, std::uint64_t step_limit) {
-  const auto sched = batch_sched(adversary);
-  if (!sched.has_value()) return nullptr;
-  lanes = std::clamp(lanes, 1, sim::kMaxBatchLanes);
-  auto machine = make_machine(algorithm, lanes, k, n);
+  if (!batch_schedulable(adversary)) return nullptr;
+  auto machine = make_machine(algorithm, k, n);
   if (machine == nullptr) return nullptr;
   sim::BatchConfig config;
   config.n = n;
@@ -1020,8 +971,8 @@ std::unique_ptr<sim::BatchStream> make_batch_stream(
   config.lanes = lanes;
   config.seed0 = seed0;
   config.step_limit = step_limit;
-  config.sched = *sched;
-  return sim::make_batch_stream(std::move(machine), config);
+  return sim::make_batch_stream(std::move(machine),
+                                adversary_factory(adversary), config);
 }
 
 }  // namespace rts::algo

@@ -2,18 +2,19 @@
 //
 // Each supported algorithm has an explicit state-machine twin of its
 // fiber-based implementation (same shared-memory op sequence, same per-pid
-// PRNG draw order), so sim::BatchStream can run whole blocks of trials in
-// lockstep and still match the scalar path's TrialSummary byte for byte.
-// Eligibility is two-sided:
+// PRNG draw order), so sim::BatchStream can run its trials without fibers
+// and still match the scalar path's TrialSummary byte for byte.  A cell is
+// eligible when both sides qualify:
 //
 //   * algorithm: a batch machine exists for logstar, sift, cascade,
 //     ratrace-path, combined-logstar, and combined-sift.  The remaining
 //     catalogue entries (original RatRace's backup grid, tournament, aa,
 //     abortable-race) keep the scalar kernel.
-//   * adversary: the schedule must be a pure function of (seed, pid-ordered
-//     runnable set, per-pid step counts) -- random, roundrobin, sequential,
-//     and crash qualify; the adaptive neutralizer, abort injection, and
-//     trace replay do not.
+//   * adversary: the catalogue lists it as seedable (not from_trace) and
+//     oblivious-class.  The engine drives that very sim::Adversary, and an
+//     oblivious view never shows a pending op, so it can never ask for
+//     something the machines lack.  random, roundrobin, sequential, crash
+//     and abort qualify; the adaptive attack-ge and trace replay do not.
 //
 // The campaign executor runs every eligible cell on these machines by
 // default.  make_batch_stream() returns nullptr for any ineligible pair;
@@ -22,23 +23,22 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "algo/registry.hpp"
 #include "sim/batch.hpp"
 
 namespace rts::algo {
 
-/// The batch scheduler replica for a catalogued adversary, or nullopt when
-/// the adversary's decisions cannot be replicated from (seed, runnable,
-/// steps) alone.
-std::optional<sim::BatchSched> batch_sched(AdversaryId id);
-
 /// Whether `id` has a batch machine.
 bool batch_supported(AlgorithmId id);
 
+/// Whether the engine can drive `id`: a seedable, oblivious-class
+/// catalogue adversary.
+bool batch_schedulable(AdversaryId id);
+
 /// Builds a pooled batch stream for one campaign cell, or nullptr when the
-/// (algorithm, adversary) pair is ineligible.  `lanes` is clamped to
+/// (algorithm, adversary) pair is ineligible.  Each run_block call computes
+/// up to `lanes` trials, one after another; `lanes` is clamped to
 /// [1, sim::kMaxBatchLanes].
 std::unique_ptr<sim::BatchStream> make_batch_stream(
     AlgorithmId algorithm, AdversaryId adversary, int n, int k, int lanes,

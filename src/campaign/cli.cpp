@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <limits>
 #include <optional>
@@ -818,7 +819,9 @@ int run_minimize(const CliArgs& args) {
         args.minimize_file.c_str(), args.trial, predicate.spec.c_str(),
         minimized.stats.original_actions, minimized.stats.minimized_actions,
         minimized.stats.evals, minimized.stats.passes, out_path.c_str());
-  } catch (const Error& fault) {
+  } catch (const std::exception& fault) {
+    // Not only rts::Error: an in-range header n can still exhaust memory
+    // (std::bad_alloc); report it like any other failed minimization.
     std::fprintf(stderr, "rts_bench: %s\n", fault.what());
     return 1;
   }

@@ -359,15 +359,15 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
     // Step-machine engine, the default for every eligible cell: trials run
     // through the worker's pooled batch stream, with no fibers, one trial
-    // per block unless sim_batch_lanes asks for wider lockstep blocks.
-    // Eligibility is two-sided (batch machine + pure-function-of-seed
-    // adversary; see algo/batch.hpp) and requires the RMR-free memory path;
-    // record/replay runs were dispatched above.  Machine summaries are
-    // bitwise-identical to the fiber kernel's, so this branch can never
-    // change campaign bytes.
+    // per block unless sim_batch_lanes asks for longer blocks.  Eligibility
+    // is read from the catalogue (a batch machine, and a seedable,
+    // oblivious-class adversary; see algo/batch.hpp) and requires the
+    // RMR-free memory path; record/replay runs were dispatched above.
+    // Machine summaries are bitwise-identical to the fiber kernel's, so
+    // this branch can never change campaign bytes.
     if (cell.rmr == rmr::RmrModel::kNone &&
         algo::batch_supported(cell.algorithm) &&
-        algo::batch_sched(cell.adversary).has_value()) {
+        algo::batch_schedulable(cell.adversary)) {
       const int lanes = std::clamp(options.sim_batch_lanes, 1,
                                    sim::kMaxBatchLanes);
       runners.push_back([cell, lanes](exec::TrialWorkspace& workspace,

@@ -105,15 +105,16 @@ struct ExecutorOptions {
   /// checkpoint_dir was set: completed sim cells land here so the campaign
   /// is resumable even if checkpointing wasn't requested up front.
   std::string interrupt_checkpoint_dir;
-  /// Lane width of the step-machine engine (sim/batch.hpp), which runs
+  /// Block size of the step-machine engine (sim/batch.hpp), which runs
   /// every *eligible* sim cell: the algorithm needs a batch machine, the
-  /// adversary's schedule must be a pure function of its seed, and no RMR
+  /// adversary must be a seedable, oblivious-class scheduler, and no RMR
   /// model may be armed (see algo/batch.hpp); ineligible cells, record,
-  /// and replay runs keep the fiber kernel.  0, the default, means one
-  /// trial per block; > 0 runs lockstep blocks of this many lanes (clamped
-  /// to sim::kMaxBatchLanes).  Machine summaries are bitwise-identical to
-  /// the fiber kernel's (CI-gated), so this knob can never change results
-  /// -- only throughput.
+  /// and replay runs keep the fiber kernel.  A block is the run of trials
+  /// one engine call computes, one after another, and the worker caches.
+  /// 0, the default, means one trial per block; > 0 means this many
+  /// (clamped to sim::kMaxBatchLanes).  Machine summaries are
+  /// bitwise-identical to the fiber kernel's (CI-gated), so this knob can
+  /// never change results.
   int sim_batch_lanes = 0;
 };
 

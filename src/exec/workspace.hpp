@@ -96,14 +96,14 @@ class TrialWorkspace {
                                     sim::Kernel::Options kernel_options = {});
 
   /// Batched trial access: serves trial `trial` of the cell's stream from a
-  /// pooled sim::BatchStream, computing whole lane-blocks at a time and
-  /// caching the most recent block's summaries.  Blocks are aligned to
-  /// floor(trial / lanes) * lanes -- a pure function of the trial index --
-  /// so any executor order (work stealing, resume-from-checkpoint) computes
-  /// identical blocks and therefore identical bytes.  `cell_trials` bounds
-  /// the final partial block.  The factory only runs when `key` has no
-  /// batch stream yet; keys must denote one fixed cell configuration (same
-  /// contract as the scalar streams).
+  /// pooled sim::BatchStream, computing blocks of `lanes` trials at a time
+  /// (one after another) and caching the most recent block's summaries.
+  /// Blocks are aligned to floor(trial / lanes) * lanes -- a pure function
+  /// of the trial index -- so any executor order (work stealing,
+  /// resume-from-checkpoint) computes identical blocks and therefore
+  /// identical bytes.  `cell_trials` bounds the final partial block.  The
+  /// factory only runs when `key` has no batch stream yet; keys must denote
+  /// one fixed cell configuration (same contract as the scalar streams).
   TrialSummary run_le_batch_trial(std::uint64_t key,
                                   const BatchStreamFactory& factory,
                                   int lanes, int trial, int cell_trials);
@@ -111,7 +111,7 @@ class TrialWorkspace {
   /// Observability for tests and benches.
   std::size_t prepared_streams() const { return streams_.size(); }
   std::uint64_t trials_run() const { return trials_run_; }
-  /// Batched trials served and lane-blocks actually computed;
+  /// Batched trials served and blocks actually computed;
   /// `batch_trials_run() / batch_blocks_run()` ~ lanes when the access
   /// pattern is sequential.
   std::uint64_t batch_trials_run() const { return batch_trials_run_; }

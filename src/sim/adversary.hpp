@@ -26,7 +26,9 @@
 #include <vector>
 
 #include "sim/kernel.hpp"
+#include "sim/runnable_set.hpp"
 #include "sim/types.hpp"
+#include "support/assert.hpp"
 
 namespace rts::sim {
 
@@ -51,22 +53,29 @@ struct PendingOpView {
 class KernelView {
  public:
   KernelView(const Kernel& kernel, AdversaryClass clazz);
+  /// A kernel-less view for the step-machine engine (sim/batch.hpp), over
+  /// its runnable set, its per-pid step counts (`steps[pid]`), its total
+  /// step count, and its process count.  It offers only the oblivious
+  /// class: pending(pid) carries the pid alone, and adaptive_full_access()
+  /// stays refused.
+  KernelView(const RunnableSet& runnable, const std::uint64_t* steps,
+             std::uint64_t total_steps, int num_processes);
 
   AdversaryClass clazz() const { return clazz_; }
-  int num_processes() const { return kernel_->num_processes(); }
-  std::uint64_t total_steps() const { return kernel_->total_steps(); }
-  std::uint64_t steps(int pid) const { return kernel_->steps(pid); }
+  int num_processes() const { return num_processes_; }
+  std::uint64_t total_steps() const { return total_steps_; }
+  std::uint64_t steps(int pid) const {
+    if (steps_ == nullptr) return kernel_->steps(pid);
+    RTS_ASSERT(pid >= 0 && pid < num_processes_);
+    return steps_[pid];
+  }
 
   /// Pids with a pending operation, in pid order.  Every adversary class may
   /// use this: the standard convention for oblivious schedules is that steps
-  /// of finished processes are skipped.  Backed by the kernel's runnable
+  /// of finished processes are skipped.  Backed by the caller's runnable
   /// set, so constructing a view per step allocates nothing.
-  const std::vector<int>& runnable() const {
-    return kernel_->runnable_set().pids();
-  }
-  bool is_runnable(int pid) const {
-    return kernel_->runnable_set().contains(pid);
-  }
+  const std::vector<int>& runnable() const { return runnable_->pids(); }
+  bool is_runnable(int pid) const { return runnable_->contains(pid); }
 
   /// The class-filtered view of pid's pending op.  Precondition: runnable.
   PendingOpView pending(int pid) const;
@@ -75,7 +84,11 @@ class KernelView {
   const Kernel& adaptive_full_access() const;
 
  private:
-  const Kernel* kernel_;
+  const Kernel* kernel_ = nullptr;  // null for a kernel-less view
+  const RunnableSet* runnable_;
+  const std::uint64_t* steps_ = nullptr;  // null: ask the kernel
+  std::uint64_t total_steps_;
+  int num_processes_;
   AdversaryClass clazz_;
 };
 

@@ -1,6 +1,6 @@
 // The pid-ordered runnable set shared by the scalar kernel (sim::Kernel) and
-// the batched engine (sim/batch.cpp): the pids with a pending operation, in
-// ascending order.
+// the step-machine engine (sim/batch.cpp): the pids with a pending
+// operation, in ascending order.
 //
 // A dense sorted vector gives the schedulers O(1) select-by-rank, so
 // `runnable[draw(count)]` stays one load; a bitmap beside it answers
@@ -50,11 +50,7 @@ class RunnableSet {
     return static_cast<unsigned>(pid) < static_cast<unsigned>(universe_) &&
            (words_[word_of(pid)] & bit_of(pid)) != 0;
   }
-  int count() const { return static_cast<int>(pids_.size()); }
   bool empty() const { return pids_.empty(); }
-  /// The i-th smallest member (0-indexed); requires i < count().
-  int select(int i) const { return pids_[static_cast<std::size_t>(i)]; }
-  int first() const { return pids_.front(); }
   /// Every member, ascending.  Iterators are invalidated by
   /// push_back/remove/reset.
   const std::vector<int>& pids() const { return pids_; }

@@ -8,6 +8,26 @@
 
 namespace rts::sim {
 
+namespace {
+
+/// A kernel's answers to the trial fold's questions (fold_le_trial).
+struct KernelTrial {
+  const Kernel& kernel;
+
+  std::uint64_t steps(int pid) const { return kernel.steps(pid); }
+  bool crashed(int pid) const {
+    return kernel.state(pid) == SimProcess::State::kCrashed;
+  }
+  bool abort_requested(int pid) const { return kernel.abort_requested(pid); }
+  int abort_requests() const { return kernel.abort_requests(); }
+  std::uint64_t total_steps() const { return kernel.total_steps(); }
+  std::size_t regs_touched() const { return kernel.memory().touched(); }
+  std::uint64_t rmr_total() const { return kernel.rmr().total(); }
+  std::uint64_t rmr_max() const { return kernel.rmr().max_by_pid(); }
+};
+
+}  // namespace
+
 LeRunResult collect_le_result(const Kernel& kernel, int n, int k,
                               const std::vector<Outcome>& outcomes,
                               std::size_t declared_registers, bool completed,
@@ -51,30 +71,12 @@ LeRunResult collect_le_result(const Kernel& kernel, int n, int k,
     }
   }
 
-  if (result.winners > 1) {
-    result.violations.push_back("safety: more than one winner (" +
-                                std::to_string(result.winners) + ")");
-  }
-  // A requested abort legitimately leaves the run winnerless (every
-  // participant may return kAbort/kLose), so the liveness rule only fires
-  // on abort-free runs.
-  if (result.completed && result.crash_free && result.abort_requests == 0 &&
-      result.winners != 1) {
-    result.violations.push_back(
-        "liveness: crash-free complete run without exactly one winner");
-  }
-  for (int pid = 0; pid < k; ++pid) {
-    const Outcome outcome = result.outcomes[static_cast<std::size_t>(pid)];
-    if (outcome == Outcome::kAbort && !kernel.abort_requested(pid)) {
-      result.violations.push_back("abort: pid " + std::to_string(pid) +
-                                  " aborted without a request");
-    }
-    if (abortable && outcome == Outcome::kWin && kernel.abort_requested(pid)) {
-      result.violations.push_back(
-          "abort: pid " + std::to_string(pid) +
-          " won despite an abort request (must abort or lose)");
-    }
-  }
+  for_each_violation(KernelTrial{kernel}, k, result.outcomes, result.winners,
+                     result.completed, result.crash_free, abortable,
+                     [&result](std::string violation) {
+                       result.violations.push_back(std::move(violation));
+                       return true;
+                     });
   return result;
 }
 
@@ -127,64 +129,8 @@ LeTrialSummary summarize_le_trial(const Kernel& kernel, int k,
                                   const std::vector<Outcome>& outcomes,
                                   std::size_t declared_registers,
                                   bool completed, bool abortable) {
-  LeTrialSummary trial;
-  trial.backend = exec::Backend::kSim;
-  trial.k = k;
-  int winners = 0;
-  for (int pid = 0; pid < k; ++pid) {
-    trial.max_steps = std::max(trial.max_steps, kernel.steps(pid));
-    if (kernel.state(pid) == SimProcess::State::kCrashed) {
-      trial.crash_free = false;
-    }
-    switch (outcomes[static_cast<std::size_t>(pid)]) {
-      case Outcome::kWin:
-        ++winners;
-        break;
-      case Outcome::kAbort:
-        ++trial.aborted;
-        break;
-      case Outcome::kUnknown:
-        ++trial.unfinished;
-        break;
-      case Outcome::kLose:
-        break;
-    }
-  }
-  trial.total_steps = kernel.total_steps();
-  trial.regs_touched = kernel.memory().touched();
-  trial.declared_registers = declared_registers;
-  trial.completed = completed;
-  trial.rmr_total = kernel.rmr().total();
-  trial.rmr_max = kernel.rmr().max_by_pid();
-  trial.latency = trial.max_steps;
-  // First violation, in collect_le_result's order: safety, then liveness,
-  // then the per-pid abort checks in pid order.
-  const int abort_requests = kernel.abort_requests();
-  if (winners > 1) {
-    trial.first_violation =
-        "safety: more than one winner (" + std::to_string(winners) + ")";
-    return trial;
-  }
-  if (completed && trial.crash_free && abort_requests == 0 && winners != 1) {
-    trial.first_violation =
-        "liveness: crash-free complete run without exactly one winner";
-    return trial;
-  }
-  for (int pid = 0; pid < k; ++pid) {
-    const Outcome outcome = outcomes[static_cast<std::size_t>(pid)];
-    if (outcome == Outcome::kAbort && !kernel.abort_requested(pid)) {
-      trial.first_violation =
-          "abort: pid " + std::to_string(pid) + " aborted without a request";
-      return trial;
-    }
-    if (abortable && outcome == Outcome::kWin && kernel.abort_requested(pid)) {
-      trial.first_violation =
-          "abort: pid " + std::to_string(pid) +
-          " won despite an abort request (must abort or lose)";
-      return trial;
-    }
-  }
-  return trial;
+  return fold_le_trial(KernelTrial{kernel}, k, outcomes, declared_registers,
+                       completed, abortable);
 }
 
 std::uint64_t trial_seed(std::uint64_t seed0, int trial) {

@@ -6,6 +6,7 @@
 // tests, and benches are independent of the concrete algorithm templates.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -94,13 +95,98 @@ using LeAggregate = exec::Aggregate;
 
 LeTrialSummary summarize_trial(const LeRunResult& result);
 
-/// Direct-to-summary fold: produces exactly
-/// `summarize_trial(collect_le_result(...))` for the same kernel state --
-/// same fields, same first-violation selection order -- without
-/// materializing LeRunResult's per-pid vectors or the full violation list.
-/// The pooled trial paths (exec::TrialWorkspace::run_le_trial_summary and
-/// the batch engine) fold through this on every trial, so the per-trial
-/// heap traffic of the scalar hot path drops to zero.
+/// The violation rules of one finished trial, in report order: safety; then
+/// liveness, checked only on complete, crash-free, abort-free runs; then the
+/// per-pid abort checks in pid order.  `trial` answers abort_requests() and
+/// abort_requested(pid); `emit(std::string)` receives each violation and
+/// returns whether to keep scanning.  collect_le_result, summarize_le_trial
+/// and the step-machine engine all judge trials through this one scan.
+template <class Trial, class Emit>
+void for_each_violation(const Trial& trial, int k,
+                        const std::vector<Outcome>& outcomes, int winners,
+                        bool completed, bool crash_free, bool abortable,
+                        Emit&& emit) {
+  if (winners > 1 && !emit("safety: more than one winner (" +
+                           std::to_string(winners) + ")")) {
+    return;
+  }
+  // A requested abort legitimately leaves the run winnerless (every
+  // participant may return kAbort/kLose), so the liveness rule only fires
+  // on abort-free runs.
+  if (completed && crash_free && trial.abort_requests() == 0 &&
+      winners != 1 &&
+      !emit("liveness: crash-free complete run without exactly one winner")) {
+    return;
+  }
+  for (int pid = 0; pid < k; ++pid) {
+    const Outcome outcome = outcomes[static_cast<std::size_t>(pid)];
+    if (outcome == Outcome::kAbort && !trial.abort_requested(pid) &&
+        !emit("abort: pid " + std::to_string(pid) +
+              " aborted without a request")) {
+      return;
+    }
+    if (abortable && outcome == Outcome::kWin && trial.abort_requested(pid) &&
+        !emit("abort: pid " + std::to_string(pid) +
+              " won despite an abort request (must abort or lose)")) {
+      return;
+    }
+  }
+}
+
+/// The one trial fold: a finished run of `k` participants that ended in
+/// `outcomes` becomes its TrialSummary -- exactly
+/// `summarize_trial(collect_le_result(...))`, without materializing
+/// LeRunResult's per-pid vectors or the full violation list.  `trial`
+/// answers steps(pid), crashed(pid), abort_requested(pid), abort_requests(),
+/// total_steps(), regs_touched(), rmr_total() and rmr_max().  The fiber
+/// kernel folds through summarize_le_trial; the step-machine engine
+/// (sim/batch.cpp) answers for itself.
+template <class Trial>
+LeTrialSummary fold_le_trial(const Trial& trial, int k,
+                             const std::vector<Outcome>& outcomes,
+                             std::size_t declared_registers, bool completed,
+                             bool abortable) {
+  LeTrialSummary summary;
+  summary.backend = exec::Backend::kSim;
+  summary.k = k;
+  int winners = 0;
+  for (int pid = 0; pid < k; ++pid) {
+    summary.max_steps = std::max(summary.max_steps, trial.steps(pid));
+    if (trial.crashed(pid)) summary.crash_free = false;
+    switch (outcomes[static_cast<std::size_t>(pid)]) {
+      case Outcome::kWin:
+        ++winners;
+        break;
+      case Outcome::kAbort:
+        ++summary.aborted;
+        break;
+      case Outcome::kUnknown:
+        ++summary.unfinished;
+        break;
+      case Outcome::kLose:
+        break;
+    }
+  }
+  summary.total_steps = trial.total_steps();
+  summary.regs_touched = trial.regs_touched();
+  summary.declared_registers = declared_registers;
+  summary.completed = completed;
+  summary.rmr_total = trial.rmr_total();
+  summary.rmr_max = trial.rmr_max();
+  // Sim latency is the trial's max step count: the deterministic analog of
+  // wall time, so histogram percentiles stay bitwise-reproducible.
+  summary.latency = summary.max_steps;
+  for_each_violation(trial, k, outcomes, winners, completed,
+                     summary.crash_free, abortable, [&](std::string v) {
+                       summary.first_violation = std::move(v);
+                       return false;
+                     });
+  return summary;
+}
+
+/// fold_le_trial over a kernel whose `k` participants just ran.  The pooled
+/// trial path (exec::TrialWorkspace::run_le_trial_summary) folds through
+/// this on every trial, so its per-trial heap traffic stays at zero.
 LeTrialSummary summarize_le_trial(const Kernel& kernel, int k,
                                   const std::vector<Outcome>& outcomes,
                                   std::size_t declared_registers,

@@ -1,15 +1,16 @@
-// Batched-vs-scalar invariance: the load-bearing contract of the batch
-// engine (sim/batch.hpp + algo/batch.cpp) is that for every *eligible*
-// (algorithm, adversary) cell it reproduces the scalar trial path's
-// exec::TrialSummary byte for byte, trial for trial -- the same discipline
-// that keeps fresh and pooled kernels interchangeable.  These tests
-// byte-compare the checkpoint codec serialization of both paths across the
-// eligible catalogue (including crashing schedules and step-limit-starved
-// lanes), check that ineligible pairs refuse a stream, and property-test
-// the SoA bank reset.  Campaigns run eligible cells on the machines by
-// default, so the campaign-level gate compares them with a record-mode
-// campaign, which keeps the fiber kernel.  The runnable set the engine
-// shares with the scalar kernel is tested in tests/test_runnable_set.cpp.
+// Batched-vs-scalar invariance: the load-bearing contract of the
+// step-machine engine (sim/batch.hpp + algo/batch.cpp) is that for every
+// *eligible* (algorithm, adversary) cell it reproduces the scalar trial
+// path's exec::TrialSummary byte for byte, trial for trial -- the same
+// discipline that keeps fresh and pooled kernels interchangeable.  These
+// tests byte-compare the checkpoint codec serialization of both paths
+// across the eligible catalogue (including crashing and aborting schedules
+// and step-limit-starved trials), check that ineligible pairs refuse a
+// stream, and property-test the register bank reset between blocks.
+// Campaigns run eligible cells on the machines by default, so the
+// campaign-level gate compares them with a record-mode campaign, which
+// keeps the fiber kernel.  The runnable set the engine shares with the
+// scalar kernel is tested in tests/test_runnable_set.cpp.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -84,7 +85,7 @@ std::vector<algo::AlgorithmId> eligible_algorithms() {
 std::vector<algo::AdversaryId> eligible_adversaries() {
   std::vector<algo::AdversaryId> out;
   for (const algo::AdversaryInfo& info : algo::all_adversaries()) {
-    if (algo::batch_sched(info.id).has_value()) out.push_back(info.id);
+    if (algo::batch_schedulable(info.id)) out.push_back(info.id);
   }
   return out;
 }
@@ -115,12 +116,16 @@ TEST(BatchInvariance, EligibleCatalogueIsEnumeratedAsExpected) {
   // algorithm or adversary from the batch path would weaken every grid
   // below without failing it.
   EXPECT_EQ(eligible_algorithms().size(), 6u);
-  EXPECT_EQ(eligible_adversaries().size(), 4u);
+  const std::vector<algo::AdversaryId> expected = {
+      algo::AdversaryId::kUniformRandom, algo::AdversaryId::kRoundRobin,
+      algo::AdversaryId::kSequential, algo::AdversaryId::kCrashAfterOps,
+      algo::AdversaryId::kAbortAfterOps};
+  EXPECT_EQ(eligible_adversaries(), expected);
 }
 
 TEST(BatchInvariance, BatchedMatchesScalarAcrossEligibleCatalogue) {
   constexpr int kTrials = 10;  // 10 = 8 + 2: exercises a partial last block
-  // One lane is the campaign executor's default; eight lanes run lockstep.
+  // One-trial blocks are the campaign executor's default.
   for (const int lanes : {1, 8}) {
     for (const algo::AlgorithmId algorithm : eligible_algorithms()) {
       for (const algo::AdversaryId adversary : eligible_adversaries()) {
@@ -133,9 +138,9 @@ TEST(BatchInvariance, BatchedMatchesScalarAcrossEligibleCatalogue) {
   }
 }
 
-TEST(BatchInvariance, LaneCountNeverChangesResults) {
-  // Batching is a throughput knob, not a semantic one: lanes=1 and
-  // lanes=64 must produce the bytes lanes=8 produced above.
+TEST(BatchInvariance, BlockSizeNeverChangesResults) {
+  // The block size only decides how many trials one engine call computes:
+  // blocks of 1, 3 and 64 trials must produce the scalar bytes.
   constexpr int kTrials = 9;
   sim::Kernel::Options options;
   for (const algo::AlgorithmId algorithm :
@@ -156,7 +161,7 @@ TEST(BatchInvariance, LaneCountNeverChangesResults) {
 }
 
 TEST(BatchInvariance, WideCellsCrossTheRunnableWordBoundary) {
-  // k > 64 exercises the multi-word membership bitmap of the lane's
+  // k > 64 exercises the multi-word membership bitmap of the engine's
   // runnable set; crash cells retire pids from the middle of both words.
   for (const algo::AdversaryId adversary :
        {algo::AdversaryId::kUniformRandom, algo::AdversaryId::kCrashAfterOps,
@@ -167,10 +172,11 @@ TEST(BatchInvariance, WideCellsCrossTheRunnableWordBoundary) {
   }
 }
 
-TEST(BatchInvariance, StarvedLanesRetireEarlyAndIdentically) {
+TEST(BatchInvariance, StarvedTrialsStopEarlyAndIdentically) {
   // A tiny step limit starves most trials (completed=false, unfinished>0);
-  // retired lanes must fold into exactly the scalar path's starved
-  // summaries, and their early exit must not disturb sibling lanes.
+  // a starved trial must fold into exactly the scalar path's starved
+  // summary, and its early stop must not disturb the next trial of the
+  // block.
   for (const algo::AlgorithmId algorithm :
        {algo::AlgorithmId::kLogStarChain, algo::AlgorithmId::kSiftCascade,
         algo::AlgorithmId::kRatRacePath}) {
@@ -185,13 +191,12 @@ TEST(BatchInvariance, StarvedLanesRetireEarlyAndIdentically) {
 }
 
 TEST(BatchInvariance, IneligiblePairsRefuseAStream) {
-  // Adversaries whose schedules are not a pure function of (seed,
-  // runnable, steps) -- and algorithms without a machine -- must return
-  // nullptr so callers fall back to the scalar kernel.
+  // Adversaries that are not seedable and oblivious-class (the adaptive
+  // attack-ge, trace replay) -- and algorithms without a machine -- must
+  // return nullptr so callers fall back to the scalar kernel.
   for (const algo::AdversaryId adversary :
-       {algo::AdversaryId::kAbortAfterOps, algo::AdversaryId::kGeNeutralizer,
-        algo::AdversaryId::kReplay}) {
-    EXPECT_FALSE(algo::batch_sched(adversary).has_value());
+       {algo::AdversaryId::kGeNeutralizer, algo::AdversaryId::kReplay}) {
+    EXPECT_FALSE(algo::batch_schedulable(adversary));
     EXPECT_EQ(algo::make_batch_stream(algo::AlgorithmId::kLogStarChain,
                                       adversary, 8, 8, 8, kSeed0,
                                       10'000'000),
@@ -235,9 +240,8 @@ TEST(BatchInvariance, BlocksAreAPureFunctionOfTheirTrialRange) {
     ASSERT_EQ(summary_bytes(forward[static_cast<std::size_t>(trial)]),
               summary_bytes(reversed[static_cast<std::size_t>(trial)]))
         << trial;
-    // Partial blocks place each trial in a different lane slot than the
-    // full-width run -- identical bytes prove the SoA bank reset and lane
-    // renumbering leak nothing between blocks.
+    // Partial blocks start at other trials than the full-width run --
+    // identical bytes prove the bank reset leaks nothing between trials.
     ASSERT_EQ(summary_bytes(forward[static_cast<std::size_t>(trial)]),
               summary_bytes(partial[static_cast<std::size_t>(trial)]))
         << trial;
@@ -295,17 +299,17 @@ TEST(BatchInvariance, DirectToSummaryMatchesTheComposedScalarPath) {
 TEST(BatchInvariance, CampaignBatchKnobNeverChangesReporterBytes) {
   // End-to-end executor gate.  The reference is a record-mode campaign,
   // which runs every cell on the fiber kernel; without recording, eligible
-  // cells run on the step machines at any lane count.  The grid is every
-  // machine algorithm against every replicated scheduler, plus an
-  // algorithm with no machine (ratrace) and an adversary with an impure
-  // schedule (abort), whose cells keep the fiber kernel in every run.  The
-  // step limit starves some trials, so retired lanes are covered too.
+  // cells run on the step machines at any block size.  The grid is every
+  // machine algorithm against every oblivious scheduler, plus an algorithm
+  // with no machine (ratrace) and an adaptive adversary (attack-ge), whose
+  // cells keep the fiber kernel in every run.  The step limit starves some
+  // trials, so starved trials are covered too.
   campaign::CampaignSpec spec;
   spec.name = "batch-gate";
   spec.algorithms = eligible_algorithms();
   spec.algorithms.push_back(algo::AlgorithmId::kRatRace);
   spec.adversaries = eligible_adversaries();
-  spec.adversaries.push_back(algo::AdversaryId::kAbortAfterOps);
+  spec.adversaries.push_back(algo::AdversaryId::kGeNeutralizer);
   spec.ks = {1, 2, 6, 65};
   spec.trials = 10;
   spec.seed = 404;

@@ -10,11 +10,16 @@
 //    loudly, never "minimized" into something unrelated,
 //  * a hunt end-to-end writes a conforming corpus directory, and the
 //    checked-in tests/corpus/ conforms bit-for-bit with its manifest's
-//    minimization claims intact.
+//    minimization claims intact,
+//  * a trace whose replay exhausts memory fails --conform and --minimize
+//    with a diagnostic instead of terminating the process.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -22,6 +27,7 @@
 #include <vector>
 
 #include "algo/registry.hpp"
+#include "campaign/cli.hpp"
 #include "campaign/hunt.hpp"
 #include "exec/conformance.hpp"
 #include "sim/adversaries.hpp"
@@ -29,10 +35,24 @@
 #include "sim/runner.hpp"
 #include "sim/trace.hpp"
 
+// The sanitizers reserve terabytes of shadow address space up front, so a
+// process under an address-space cap cannot run them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define RTS_SHADOW_MEMORY 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define RTS_SHADOW_MEMORY 1
+#endif
+#endif
+
 namespace rts::sim {
 namespace {
 
-std::string corpus_dir() { return std::string(RTS_TEST_DATA_DIR) + "/corpus"; }
+std::string test_data(const char* relative) {
+  return (std::filesystem::path(RTS_TEST_DATA_DIR) / relative).string();
+}
+
+std::string corpus_dir() { return test_data("corpus"); }
 
 /// Records one (algorithm, adversary) stream the way the hunt does.
 CellTrace record_cell(algo::AlgorithmId algorithm, algo::AdversaryId adversary,
@@ -320,6 +340,52 @@ TEST(Corpus, CheckedInCorpusConformsWithManifestClaims) {
   EXPECT_GE(entries, 6);
   EXPECT_GE(algorithms.size(), 2u);
   EXPECT_GE(families.size(), 2u);
+}
+
+/// The death-test child: under a 2 GB address-space cap, runs --conform
+/// over `dir` and --minimize on `trace`.  Returns 0 only when conform
+/// counted one failure and minimize exited 1; each bit of a nonzero code
+/// names the command that misbehaved.
+int conform_and_minimize_capped(const std::string& dir,
+                                const std::string& trace) {
+  constexpr rlim_t kCap = rlim_t{2} << 30;
+  const rlimit cap{kCap, kCap};
+  if (setrlimit(RLIMIT_AS, &cap) != 0) return 4;
+  const int failures = campaign::conform_directory(dir, std::tmpfile());
+  std::vector<std::string> args = {"rts_bench", "--minimize", trace,
+                                   "--trial",   "0",          "--out",
+                                   dir + "/min.rtst"};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  const int code =
+      campaign::run_cli(static_cast<int>(args.size()), argv.data());
+  return (failures == 1 ? 0 : 1) | (code == 1 ? 0 : 2);
+}
+
+TEST(OutOfMemory, ConformAndMinimizeFailTheTraceInsteadOfTerminating) {
+#ifdef RTS_SHADOW_MEMORY
+  GTEST_SKIP() << "sanitizer shadow memory does not fit a 2 GB address cap";
+#endif
+  // tests/golden/cell-0000.rtst (combined-sift, k=5) with its header n
+  // raised to 10^6, inside the decoder's bound, and resealed by the
+  // encoder.  Building the object for that n exceeds the child's address
+  // space, so both commands meet std::bad_alloc.
+  CellTrace cell;
+  std::string error;
+  ASSERT_TRUE(read_cell_trace_file(test_data("golden/cell-0000.rtst"), &cell,
+                                   &error))
+      << error;
+  cell.n = 1'000'000;
+  const std::string dir =
+      ::testing::TempDir() + "rts-oom-" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string trace = dir + "/cell-0000.rtst";
+  ASSERT_TRUE(write_cell_trace_file(trace, cell, &error)) << error;
+  EXPECT_EXIT(std::_Exit(conform_and_minimize_capped(dir, trace)),
+              ::testing::ExitedWithCode(0), "");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

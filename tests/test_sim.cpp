@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "sim/adversaries.hpp"
 #include "sim/adversary.hpp"
@@ -161,6 +162,48 @@ TEST(AdversaryView, ObliviousSeesNothing) {
   EXPECT_FALSE(p.kind.has_value());
   EXPECT_FALSE(p.reg.has_value());
   EXPECT_FALSE(p.value.has_value());
+}
+
+TEST(AdversaryView, KernelLessViewAnswersAsTheObliviousKernelView) {
+  // Four processes doing 1, 2, 3 and 4 writes, run partway: pid 0 has
+  // finished, the others have taken unequal numbers of steps.
+  Kernel kernel;
+  const RegId reg = kernel.memory().alloc("r");
+  for (int p = 0; p < 4; ++p) {
+    kernel.add_process(
+        [reg, p](Context& ctx) {
+          for (int i = 0; i <= p; ++i) ctx.write(reg, 7);
+        },
+        prng(static_cast<std::uint64_t>(p)));
+  }
+  kernel.start();
+  for (const int pid : {0, 2, 2, 3}) kernel.grant(pid);
+  std::vector<std::uint64_t> steps;
+  for (int pid = 0; pid < kernel.num_processes(); ++pid) {
+    steps.push_back(kernel.steps(pid));
+  }
+
+  const KernelView backed(kernel, AdversaryClass::kOblivious);
+  const KernelView bare(kernel.runnable_set(), steps.data(),
+                        kernel.total_steps(), kernel.num_processes());
+  EXPECT_EQ(bare.clazz(), AdversaryClass::kOblivious);
+  EXPECT_EQ(bare.num_processes(), backed.num_processes());
+  EXPECT_EQ(bare.total_steps(), backed.total_steps());
+  EXPECT_EQ(bare.runnable(), backed.runnable());
+  EXPECT_EQ(bare.runnable(), (std::vector<int>{1, 2, 3}));
+  for (int pid = -1; pid <= kernel.num_processes(); ++pid) {
+    EXPECT_EQ(bare.is_runnable(pid), backed.is_runnable(pid)) << pid;
+  }
+  for (int pid = 0; pid < kernel.num_processes(); ++pid) {
+    EXPECT_EQ(bare.steps(pid), backed.steps(pid)) << pid;
+  }
+  for (const int pid : bare.runnable()) {
+    const PendingOpView p = bare.pending(pid);
+    EXPECT_EQ(p.pid, pid);
+    EXPECT_FALSE(p.kind.has_value());
+    EXPECT_FALSE(p.reg.has_value());
+    EXPECT_FALSE(p.value.has_value());
+  }
 }
 
 TEST(AdversaryView, AdaptiveSeesEverything) {
