@@ -6,6 +6,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -347,9 +348,16 @@ class SoakShard {
     run_options.backoff = spec_.backoff;
     run_options.plan = &spec_.faults;
     const Clock::time_point run_start = Clock::now();
-    const hw::HwRunResult run = pool_->run(
-        algorithm_, n_, support::derive_seed(spec_.seed, arrival.index),
-        run_options);
+    hw::HwRunResult run;
+    try {
+      run = pool_->run(algorithm_, n_,
+                       support::derive_seed(spec_.seed, arrival.index),
+                       run_options);
+    } catch (const std::exception&) {
+      // A participant threw (a bad_alloc, say): filed like a step-limit
+      // abort, and the server keeps serving.
+      run.completed = false;
+    }
     const Clock::time_point end = Clock::now();
     std::lock_guard<std::mutex> lock(mu_);
     stats_.retried += static_cast<std::uint64_t>(run.retries);
@@ -364,7 +372,7 @@ class SoakShard {
           ns_between(arrival.scheduled, arrival.issued));
       stats_.queue_wait.record(ns_between(arrival.issued, run_start));
       stats_.service.record(ns_between(run_start, end));
-      if (!run.completed) ++stats_.incomplete;  // step-limit watchdog
+      if (!run.completed) ++stats_.incomplete;  // step limit or a throw
     }
   }
 

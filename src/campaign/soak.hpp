@@ -167,7 +167,7 @@ struct SoakResult {
   std::uint64_t retried = 0;      ///< extra attempts across all arrivals
   std::uint64_t shed = 0;         ///< arrivals dropped on the backlog gate
   std::uint64_t violations = 0;   ///< elections without exactly one winner
-  std::uint64_t incomplete = 0;   ///< elections ended by the step watchdog
+  std::uint64_t incomplete = 0;   ///< ended by the step watchdog or a throw
   std::uint64_t max_backlog = 0;  ///< worst arrivals-minus-served arrears
   bool degraded = false;          ///< the shedding gate engaged at least once
   bool interrupted = false;       ///< run ended early on SIGINT/SIGTERM

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <chrono>
 #include <cmath>
+#include <exception>
+#include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -132,10 +135,21 @@ void pin_current_thread(int cpu) {
 #endif
 }
 
+/// what() of a participant's failure, for the rts::Error run() throws.
+std::string describe(const std::exception_ptr& failure) {
+  try {
+    std::rethrow_exception(failure);
+  } catch (const std::exception& error) {
+    return error.what();
+  } catch (...) {
+    return "an exception not derived from std::exception";
+  }
+}
+
 }  // namespace
 
 HwTrialPool::HwTrialPool(int k, HwPoolOptions pool_options)
-    : k_(k), gate_(k + 1), pool_options_(std::move(pool_options)) {
+    : k_(k), pool_options_(std::move(pool_options)) {
   RTS_REQUIRE(k >= 1, "need at least one participant thread");
   perf_slots_.resize(static_cast<std::size_t>(k));
   threads_.reserve(static_cast<std::size_t>(k));
@@ -143,46 +157,39 @@ HwTrialPool::HwTrialPool(int k, HwPoolOptions pool_options)
     for (int pid = 0; pid < k; ++pid) {
       threads_.emplace_back([this, pid] { participant(pid); });
     }
-    watchdog_ = std::jthread([this] { watchdog_main(); });
   } catch (...) {
-    // Partial spawn (thread-resource exhaustion): the already-running
-    // participants are parked on the condition variable -- never on the
-    // barrier, whose k+1 parties don't all exist -- so shutdown works.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    job_cv_.notify_all();
-    watchdog_cv_.notify_all();
-    threads_.clear();  // join
+    // Partial spawn (thread-resource exhaustion): between jobs the running
+    // participants park only on job_, so the stop bump ends them.
+    shutdown();
     throw;
   }
 }
 
-HwTrialPool::~HwTrialPool() {
+HwTrialPool::~HwTrialPool() { shutdown(); }
+
+void HwTrialPool::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+    stop_.store(true, std::memory_order_relaxed);
   }
-  job_cv_.notify_all();
   watchdog_cv_.notify_all();
+  job_.fetch_add(1, std::memory_order_release);
+  job_.notify_all();
   threads_.clear();  // join; watchdog_ joins in its own destructor
 }
 
 void HwTrialPool::watchdog_main() {
   std::unique_lock<std::mutex> lock(mu_);
-  std::uint64_t seen = 0;
+  std::uint64_t seen = 0;  // spawned before the first armed job is published
   for (;;) {
-    watchdog_cv_.wait(lock,
-                      [&] { return stop_ || (watchdog_armed_ &&
-                                             job_seq_ != seen); });
+    watchdog_cv_.wait(lock, [&] { return stop_ || job_seq_ != seen; });
     if (stop_) return;
     seen = job_seq_;
     // The predicate watches job_seq_ as well as job_done_: the captured
     // wait_until deadline belongs to job `seen`, and in the multi-pool /
     // back-to-back-run world the job can finish and run() can publish the
-    // *next* one before this thread ever wakes (job_done_ flips true and
-    // back to false while we sleep).  Without the seq guard that stale
+    // *next* armed one before this thread ever wakes (job_done_ flips true
+    // and back to false while we sleep).  Without the seq guard that stale
     // deadline would fire and cancel the new job at the old job's --
     // possibly much earlier -- deadline; with it, a timeout return can
     // only mean job `seen` itself is still running past its own deadline.
@@ -191,7 +198,8 @@ void HwTrialPool::watchdog_main() {
         })) {
       // Deadline passed with this job still running: cancel.  Participants
       // observe the flag at their next shared op and unwind; run() still
-      // waits on the completion barrier, so no state is torn down early.
+      // waits for every participant to count out, so no state is torn
+      // down early.
       cancel_.store(true, std::memory_order_relaxed);
     }
     if (stop_) return;
@@ -205,67 +213,96 @@ void HwTrialPool::participant(int pid) {
         pool_options_.pin_cpus[slot % pool_options_.pin_cpus.size()]);
   }
   // The counter group is opened by (and bound to) this thread, so campaign
-  // workers running sim cells never leak cycles into hw measurements.
-  std::unique_ptr<telemetry::PerfCounterGroup> perf;
+  // workers running sim cells never leak cycles into hw measurements.  It
+  // lives in place: outside its elections the thread allocates nothing, so
+  // nothing can throw out of this entry function.
+  std::optional<telemetry::PerfCounterGroup> perf;
   if (pool_options_.perf_counters) {
-    perf = std::make_unique<telemetry::PerfCounterGroup>();
-    if (!perf->available()) {
-      perf.reset();
-      perf_missing_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    perf_missing_.fetch_add(1, std::memory_order_relaxed);
+    perf.emplace();
+    if (!perf->available()) perf.reset();
   }
+  if (!perf) perf_missing_.fetch_add(1, std::memory_order_relaxed);
 
-  std::uint64_t seen = 0;
+  const auto k = static_cast<std::uint32_t>(k_);
+  std::uint32_t seen = 0;  // job_ as the constructor left it
   for (;;) {
-    {
-      // Park until run() publishes a job or the pool shuts down.
-      std::unique_lock<std::mutex> lock(mu_);
-      job_cv_.wait(lock, [&] { return stop_ || job_seq_ != seen; });
-      if (stop_) return;
-      seen = job_seq_;
+    job_.wait(seen, std::memory_order_acquire);  // run() or shutdown bumps it
+    if (stop_.load(std::memory_order_relaxed)) return;
+    seen = job_.load(std::memory_order_relaxed);
+    // Start line: the last arrival stamps the election's start and releases
+    // the others.  The phase is read before arriving, so a release that
+    // lands before this thread waits is never missed.
+    const std::uint32_t phase = phase_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == k) {
+      arrived_.store(0, std::memory_order_relaxed);
+      start_ = std::chrono::steady_clock::now();
+      phase_.store(phase + 1, std::memory_order_release);
+      phase_.notify_all();
+    } else {
+      phase_.wait(phase, std::memory_order_acquire);
     }
-    gate_.arrive_and_wait();  // start line: the trial timer begins here
     if (perf) perf->start();
     // This participant's chaos-plan faults: a no-show skips the election
-    // (ops stay 0), a delay sleeps before the first shared op, a stall arms
-    // the context's one-shot mid-election sleep.
+    // (ops stay 0).
     const fault::ParticipantFault* fault =
         faults_ != nullptr ? &faults_->participants[slot] : nullptr;
     if (fault == nullptr || !fault->no_show) {
-      support::PrngSource rng(
-          support::derive_seed(seed_, static_cast<std::uint64_t>(pid)));
-      HwPlatform::Context ctx(pid, rng);
-      ctx.set_step_limit(step_limit_);
-      if (deadline_armed_) ctx.set_cancel_flag(&cancel_);
-      if (fault != nullptr && fault->stall_us > 0) {
-        ctx.set_stall(fault->stall_after_op, fault->stall_us);
-      }
-      if (fault != nullptr && fault->delay_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(fault->delay_us));
-      }
       try {
-        if (le_ != nullptr) {
-          result_->outcomes[slot] = le_->elect(ctx);
-        } else {
-          // Native baseline: atomic exchange is a hardware TAS.
-          result_->outcomes[slot] =
-              native_bit_.exchange(1, std::memory_order_seq_cst) == 0
-                  ? sim::Outcome::kWin
-                  : sim::Outcome::kLose;
-          ctx.on_op();
+        elect_once(pid, fault);
+      } catch (...) {
+        // Anything else escaping the election (a bad_alloc from a lazy node
+        // map, say) still counts this participant out below; the first
+        // failure is kept for run() to report.
+        int none = -1;
+        if (failed_pid_.compare_exchange_strong(none, pid,
+                                                std::memory_order_relaxed)) {
+          failure_ = std::current_exception();
         }
-      } catch (const StepLimitReached&) {
-        aborted_.fetch_add(1, std::memory_order_relaxed);  // outcome kUnknown
-      } catch (const ElectionCancelled&) {
-        cancelled_.fetch_add(1, std::memory_order_relaxed);  // outcome kUnknown
       }
-      result_->ops[slot] = ctx.ops();
     }
     if (perf) perf_slots_[slot].add(perf->stop());
-    gate_.arrive_and_wait();  // completion; orders our writes before run()
+    // Count out; the acq_rel chain hands every participant's slot writes to
+    // the last one out, whose release of done_ hands them to run().
+    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      end_ = std::chrono::steady_clock::now();
+      done_.fetch_add(1, std::memory_order_release);
+      done_.notify_one();  // run() is the only waiter
+    }
   }
+}
+
+void HwTrialPool::elect_once(int pid, const fault::ParticipantFault* fault) {
+  const auto slot = static_cast<std::size_t>(pid);
+  support::PrngSource rng(
+      support::derive_seed(seed_, static_cast<std::uint64_t>(pid)));
+  HwPlatform::Context ctx(pid, rng);
+  ctx.set_step_limit(step_limit_);
+  if (deadline_armed_) ctx.set_cancel_flag(&cancel_);
+  // A delay sleeps before the first shared op, a stall arms the context's
+  // one-shot mid-election sleep.
+  if (fault != nullptr && fault->stall_us > 0) {
+    ctx.set_stall(fault->stall_after_op, fault->stall_us);
+  }
+  if (fault != nullptr && fault->delay_us > 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(fault->delay_us));
+  }
+  try {
+    if (le_ != nullptr) {
+      result_->outcomes[slot] = le_->elect(ctx);
+    } else {
+      // Native baseline: atomic exchange is a hardware TAS.
+      result_->outcomes[slot] =
+          native_bit_.exchange(1, std::memory_order_seq_cst) == 0
+              ? sim::Outcome::kWin
+              : sim::Outcome::kLose;
+      ctx.on_op();
+    }
+  } catch (const StepLimitReached&) {
+    aborted_.fetch_add(1, std::memory_order_relaxed);  // outcome kUnknown
+  } catch (const ElectionCancelled&) {
+    cancelled_.fetch_add(1, std::memory_order_relaxed);  // outcome kUnknown
+  }
+  result_->ops[slot] = ctx.ops();
 }
 
 telemetry::PerfCounts HwTrialPool::perf_totals() const {
@@ -289,6 +326,9 @@ HwRunResult HwTrialPool::run(algo::AlgorithmId id, int n, std::uint64_t seed,
   result.k = k_;
   step_limit_ = options.step_limit;
   deadline_armed_ = options.deadline_ns > 0;
+  if (deadline_armed_ && !watchdog_.joinable()) {
+    watchdog_ = std::jthread([this] { watchdog_main(); });
+  }
   result_ = &result;
   for (int attempt = 0;; ++attempt) {
     const std::uint64_t attempt_seed =
@@ -315,33 +355,41 @@ HwRunResult HwTrialPool::run(algo::AlgorithmId id, int n, std::uint64_t seed,
     aborted_.store(0, std::memory_order_relaxed);
     cancelled_.store(0, std::memory_order_relaxed);
     cancel_.store(false, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      job_done_ = false;
-      watchdog_armed_ = deadline_armed_;
-      if (deadline_armed_) {
+    failed_pid_.store(-1, std::memory_order_relaxed);
+    remaining_.store(static_cast<std::uint32_t>(k_), std::memory_order_relaxed);
+    const std::uint32_t done = done_.load(std::memory_order_relaxed);
+    if (deadline_armed_) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        job_done_ = false;
         watchdog_deadline_ = std::chrono::steady_clock::now() +
                              std::chrono::nanoseconds(options.deadline_ns);
+        ++job_seq_;
       }
-      ++job_seq_;  // publishes the job state written above
+      watchdog_cv_.notify_all();
     }
-    job_cv_.notify_all();
-    if (deadline_armed_) watchdog_cv_.notify_all();
-    gate_.arrive_and_wait();  // start line with the woken participants
-    const auto start = std::chrono::steady_clock::now();
-    gate_.arrive_and_wait();  // wait for completion
-    const auto end = std::chrono::steady_clock::now();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      job_done_ = true;  // disarms the watchdog for this job
+    job_.fetch_add(1, std::memory_order_release);  // publishes the job state
+    job_.notify_all();
+    done_.wait(done, std::memory_order_acquire);  // the last one out bumps it
+    if (deadline_armed_) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        job_done_ = true;  // disarms the watchdog for this job
+      }
+      watchdog_cv_.notify_all();
     }
-    watchdog_cv_.notify_all();
     ++trials_run_;
+    const int failed_pid = failed_pid_.load(std::memory_order_relaxed);
+    if (failed_pid >= 0) {
+      throw Error("hw participant " + std::to_string(failed_pid) +
+                  " threw: " + describe(std::exchange(failure_, nullptr)));
+    }
 
     // An aborted or cancelled attempt legitimately has no winner; only a
     // complete one without exactly one is a violation, mirroring the sim
     // harness's liveness rule.  Two winners violate unconditionally.
-    result.wall_seconds = std::chrono::duration<double>(end - start).count();
+    result.wall_seconds =
+        std::chrono::duration<double>(end_ - start_).count();
     result.registers = pool.allocated();
     result.timed_out = cancelled_.load(std::memory_order_relaxed) > 0;
     result.completed =

@@ -1,9 +1,10 @@
 // Thread harness for running leader elections / TAS on real hardware:
 // HwTrialPool parks `k` participant threads, builds an algorithm instance
 // from the unified algo::AlgorithmId catalogue per election, releases the
-// threads through a barrier, and collects outcomes, per-thread shared-op
-// counts, and wall-clock time.  Its run() also owns the deadline/retry
-// loop that campaign hw cells and soak arrivals share.
+// threads through futex words (std::atomic<std::uint32_t>::wait), and
+// collects outcomes, per-thread shared-op counts, and wall-clock time.  Its
+// run() also owns the deadline/retry loop that campaign hw cells and soak
+// arrivals share.
 //
 // Hardware trials summarize into the same exec::TrialSummary contract as
 // simulator trials (see exec/backend.hpp), so campaigns, aggregates, and
@@ -11,10 +12,10 @@
 #pragma once
 
 #include <atomic>
-#include <barrier>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -72,6 +73,8 @@ struct HwRunResult {
   int k = 0;  ///< participating threads
   std::vector<sim::Outcome> outcomes;
   std::vector<std::uint64_t> ops;   // shared-memory ops per thread
+  /// The final attempt, from the participants' start line to the last
+  /// participant's finish.
   double wall_seconds = 0.0;
   int winners = 0;
   std::size_t registers = 0;        // materialized in the pool
@@ -108,12 +111,12 @@ struct HwPoolOptions {
 };
 
 /// Persistent pool of `k` parked participant threads reused across hardware
-/// trials: the per-trial cost drops from k thread spawns + joins to two
-/// barrier phases.  The only way to run an hw election: one pool per
-/// campaign cell, soak shard, or run_hw_many stream (a one-off election is
-/// a one-election pool).  run() is not thread-safe -- callers serialize
-/// trials, which the campaign executor does anyway to keep measured thread
-/// counts honest.
+/// trials: the per-trial cost drops from k thread spawns + joins to three
+/// futex wakes (the job, the participants' start line, the completion).
+/// The only way to run an hw election: one pool per campaign cell, soak
+/// shard, or run_hw_many stream (a one-off election is a one-election
+/// pool).  run() is not thread-safe -- callers serialize trials, which the
+/// campaign executor does anyway to keep measured thread counts honest.
 ///
 /// The algorithm instance and its register pool stay per-trial: unlike sim
 /// kernels, hw object graphs race real threads, so each trial gets a fresh
@@ -142,6 +145,11 @@ class HwTrialPool {
   /// deadline/retry loop of campaigns and soaks alike: attempt 0 runs on
   /// `seed`, and a timed-out attempt with retries left backs off and runs
   /// again on derive_seed(seed, kRetrySalt + a).
+  ///
+  /// Throws rts::Error, naming the participant and what() it threw, when
+  /// anything other than the step-limit or deadline unwind escapes a
+  /// participant's election (a std::bad_alloc, say).  The attempt still
+  /// runs to its end first, so the pool stays usable.
   HwRunResult run(algo::AlgorithmId id, int n, std::uint64_t seed,
                   HwRunOptions options = {});
 
@@ -153,21 +161,28 @@ class HwTrialPool {
 
  private:
   void participant(int pid);
+  void elect_once(int pid, const fault::ParticipantFault* fault);
+  void shutdown();
   void watchdog_main();
 
   int k_;
-  // Participants park on the condition variable between trials (and during
-  // construction), so teardown works however many threads actually spawned;
-  // the barrier -- whose k+1 parties all provably exist once the
-  // constructor returns -- only lines up the start and completion of one
-  // trial.
-  std::mutex mu_;
-  std::condition_variable job_cv_;
-  std::uint64_t job_seq_ = 0;  // guarded by mu_
-  bool stop_ = false;          // guarded by mu_
-  std::barrier<> gate_;        // k participants + the driving thread
-  // Per-attempt job state: written by run() before publishing the job
-  // sequence number, read by participants after waking on it.
+  // The hand-off: 32-bit words waited on with std::atomic::wait.  run()
+  // bumps job_ to release the participants parked on it (a bump with stop_
+  // set ends them); participants line up at the start line on arrived_ and
+  // phase_, where the last arrival stamps start_; remaining_ counts them
+  // out, and the last one out stamps end_ and bumps done_, the one word
+  // run() waits on.  start_, end_ and the result slots are published by
+  // the remaining_ countdown and the release of done_.
+  std::atomic<std::uint32_t> job_{0};
+  std::atomic<std::uint32_t> arrived_{0};
+  std::atomic<std::uint32_t> phase_{0};
+  std::atomic<std::uint32_t> remaining_{0};
+  std::atomic<std::uint32_t> done_{0};
+  std::atomic<bool> stop_{false};
+  std::chrono::steady_clock::time_point start_{};
+  std::chrono::steady_clock::time_point end_{};
+  // Per-attempt job state: written by run() before it bumps job_, read by
+  // participants after waking on it.
   algo::ILeaderElect<HwPlatform>* le_ = nullptr;  ///< null: native atomic
   std::atomic<std::uint64_t> native_bit_{0};
   std::uint64_t seed_ = 0;
@@ -177,22 +192,28 @@ class HwTrialPool {
   bool deadline_armed_ = false;
   std::atomic<int> aborted_{0};
   std::atomic<int> cancelled_{0};  ///< participants unwound on the deadline
+  // The first participant whose election threw anything else claims
+  // failed_pid_ and stores its exception; run() rethrows it as rts::Error.
+  std::atomic<int> failed_pid_{-1};
+  std::exception_ptr failure_;
   std::uint64_t trials_run_ = 0;
-  // Deadline watchdog: one persistent thread parked on its own condition
-  // variable; run() publishes an armed job's deadline, the watchdog
-  // wait_until()s it, and sets cancel_ if the completion barrier hasn't
-  // been reached by then.  All watchdog state is guarded by mu_.  The
-  // timed wait re-checks job_seq_ against the sequence it armed for: a
-  // spurious or late wake after the job completed and the *next* job was
-  // published must not fire the stale deadline into the new election.
+  // Deadline watchdog: one thread, spawned by the first armed run() and
+  // parked on its own condition variable; only armed attempts touch it.
+  // run() publishes an armed job's deadline, the watchdog wait_until()s
+  // it, and sets cancel_ if the job is not done by then.  All watchdog
+  // state is guarded by mu_.  The timed wait re-checks job_seq_ against
+  // the sequence it armed for: a spurious or late wake after the job
+  // completed and the *next* armed job was published must not fire the
+  // stale deadline into the new election.
+  std::mutex mu_;
   std::condition_variable watchdog_cv_;
+  std::uint64_t job_seq_ = 0;  ///< armed attempts published so far
   std::chrono::steady_clock::time_point watchdog_deadline_{};
-  bool watchdog_armed_ = false;
   bool job_done_ = true;
   std::atomic<bool> cancel_{false};
   HwPoolOptions pool_options_;
   // Slot pid is written only by participant pid, between the election and
-  // the completion barrier (which orders it before run() returns).
+  // its remaining_ countdown (which orders it before run() returns).
   std::vector<telemetry::PerfCounts> perf_slots_;
   std::atomic<int> perf_missing_{0};  ///< participants without a counter group
   std::vector<std::jthread> threads_;

@@ -34,7 +34,9 @@ std::uint64_t Xoshiro256::next() {
 std::uint64_t PrngSource::draw(std::uint64_t arity) {
   RTS_ASSERT(arity >= 1);
   if (arity == 1) return 0;
-  if (std::has_single_bit(arity)) return rng_.next() & (arity - 1);
+  // arity >= 2 here; the bit trick stays inline where std::has_single_bit
+  // would call libgcc's __popcountdi2 on a build without -mpopcnt.
+  if ((arity & (arity - 1)) == 0) return rng_.next() & (arity - 1);
   // Rejection sampling for unbiased draws from non-power-of-two ranges.
   if (arity != cached_arity_) {
     cached_arity_ = arity;

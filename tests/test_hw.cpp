@@ -2,9 +2,11 @@
 // std::atomic registers, selected from the unified algo::AlgorithmId
 // catalogue.  Stress: exactly one winner across many trials for every
 // hw-capable algorithm; ops accounting; the combiner's nested fibers inside
-// ordinary threads; the shared exec::TrialSummary contract.
+// ordinary threads; the shared exec::TrialSummary contract; the pool's
+// hand-off across back-to-back elections and its lazily spawned watchdog.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "hw/harness.hpp"
@@ -121,6 +123,56 @@ TEST(HwHarness, SummarizeTrialFillsTheSharedContract) {
   EXPECT_TRUE(trial.completed);
   EXPECT_GE(trial.wall_seconds, 0.0);
   EXPECT_TRUE(trial.first_violation.empty());
+}
+
+TEST(HwTrialPool, BackToBackElectionsHandOffCleanly) {
+  // 20,000 elections per pool through the hand-off: each elects exactly one
+  // winner, trials_run() counts each, and the participant-stamped wall time
+  // lies inside the caller's own timing of run().
+  constexpr int kElections = 20'000;
+  using Clock = std::chrono::steady_clock;
+  for (const algo::AlgorithmId id :
+       {algo::AlgorithmId::kTournament, algo::AlgorithmId::kNativeAtomic}) {
+    for (const int k : {1, 2, 3, 8}) {
+      HwTrialPool pool(k);
+      for (int e = 0; e < kElections; ++e) {
+        const Clock::time_point before = Clock::now();
+        const HwRunResult r =
+            pool.run(id, k, static_cast<std::uint64_t>(e));
+        const double outer =
+            std::chrono::duration<double>(Clock::now() - before).count();
+        ASSERT_EQ(r.winners, 1) << algo::info(id).name << " k=" << k
+                                << " election " << e;
+        ASSERT_TRUE(r.violations.empty());
+        ASSERT_GT(r.wall_seconds, 0.0);
+        ASSERT_LE(r.wall_seconds, outer);
+      }
+      EXPECT_EQ(pool.trials_run(), static_cast<std::uint64_t>(kElections));
+    }
+  }
+}
+
+TEST(HwTrialPool, ArmedElectionAfterUnarmedOnesTimesOut) {
+  // Unarmed elections never start the watchdog; the first armed one does,
+  // and must still be cancelled at its deadline.  Every participant sleeps
+  // 50ms before its first shared op against a 0.2ms deadline.
+  const auto plan = fault::FaultPlan::parse("delay:p=1,us=50000", nullptr);
+  ASSERT_TRUE(plan.has_value());
+  HwTrialPool pool(2);
+  for (std::uint64_t seed = 0; seed < 1'000; ++seed) {
+    ASSERT_EQ(pool.run(algo::AlgorithmId::kTournament, 2, seed).winners, 1);
+  }
+  HwRunOptions armed;
+  armed.deadline_ns = 200'000;
+  armed.plan = &*plan;
+  const HwRunResult cancelled =
+      pool.run(algo::AlgorithmId::kTournament, 2, 1'000, armed);
+  EXPECT_TRUE(cancelled.timed_out);
+  EXPECT_FALSE(cancelled.completed);
+  const HwRunResult after = pool.run(algo::AlgorithmId::kTournament, 2, 1'001);
+  EXPECT_TRUE(after.completed);
+  EXPECT_EQ(after.winners, 1);
+  EXPECT_TRUE(after.violations.empty());
 }
 
 }  // namespace
