@@ -69,8 +69,10 @@ class AbortableRace final : public ILeaderElect<P> {
     while (!child.finished()) {
       if (aborting(ctx)) return Outcome::kAbort;  // child abandoned mid-op
       fiber::switch_context(ctx.exec_slot(), child);
-      if constexpr (requires { ctx.charge_child_op(); }) {
-        if (!child.finished()) ctx.charge_child_op();
+      if (child.finished()) {
+        child.rethrow_failure();  // a throw in the inner election
+      } else if constexpr (requires { ctx.charge_child_op(); }) {
+        ctx.charge_child_op();
       }
     }
     // Checked before the inner outcome: a win that races the abort request

@@ -23,7 +23,10 @@
 // operations alternately.  Child fibers are abandoned (not unwound) when a
 // rule resolves the election; sub-algorithms therefore must not hold owning
 // heap state across operations, which holds for every algorithm in this
-// library that the combiner wraps.
+// library that the combiner wraps.  A throw inside a child cannot unwind off
+// its fiber; the fiber keeps it, and the coordinator rethrows it on its own
+// stack when it finds the child finished (fiber::Fiber::rethrow_failure), so
+// it reaches whatever handles the process's election.
 //
 // Child-stack ownership: the coordinator's own fiber can itself be abandoned
 // mid-elect (a crashed or step-limit-starved simulated process), dropping the
@@ -125,12 +128,15 @@ class CombinedLe final : public ILeaderElect<P> {
       RTS_ASSERT_MSG(!child.finished(), "combined: resuming finished child");
       fiber::switch_context(ctx.exec_slot(), child);
       // The child either completed exactly one shared-memory op and yielded,
-      // or ran to completion (op-free from its last yield point) and set its
-      // outcome.  Platforms with a step-limit watchdog (hw) charge the op
-      // here, on the coordinator's stack -- a budget abort could not unwind
-      // off the child's fiber.
-      if constexpr (requires { ctx.charge_child_op(); }) {
-        if (!child.finished()) ctx.charge_child_op();
+      // or ran to its end: it returned (op-free from its last yield point)
+      // with its outcome set, or it threw, and the throw carries on here, on
+      // the coordinator's stack.  Platforms that police each op (hw) charge
+      // a yielded op to the coordinator's context, so child ops answer to
+      // the same budget, deadline and stall as the coordinator's own.
+      if (child.finished()) {
+        child.rethrow_failure();
+      } else if constexpr (requires { ctx.charge_child_op(); }) {
+        ctx.charge_child_op();
       }
     }
   }

@@ -1,13 +1,8 @@
 #include "algo/registry.hpp"
 
-#include "algo/aa.hpp"
 #include "algo/abortable.hpp"
 #include "algo/attacks.hpp"
-#include "algo/cascade.hpp"
-#include "algo/chain.hpp"
-#include "algo/combined.hpp"
-#include "algo/ratrace.hpp"
-#include "algo/tournament.hpp"
+#include "algo/make_le.hpp"
 #include "sim/adversaries.hpp"
 #include "support/assert.hpp"
 
@@ -168,40 +163,11 @@ sim::AdversaryFactory adversary_factory(AdversaryId id) {
 std::unique_ptr<ILeaderElect<SimPlatform>> make_sim_le(AlgorithmId id,
                                                        SimPlatform::Arena arena,
                                                        int n) {
-  using P = SimPlatform;
-  switch (id) {
-    case AlgorithmId::kLogStarChain:
-      return std::make_unique<GeChainLe<P>>(
-          arena, n, fig1_truncated_factory<P>(n, default_live_prefix(n)));
-    case AlgorithmId::kSiftChain:
-      return std::make_unique<GeChainLe<P>>(arena, n,
-                                            sift_truncated_factory<P>(n));
-    case AlgorithmId::kSiftCascade:
-      return std::make_unique<SiftCascadeLe<P>>(arena, n);
-    case AlgorithmId::kRatRace:
-      return std::make_unique<RatRaceOriginal<P>>(arena, n);
-    case AlgorithmId::kRatRacePath:
-      return std::make_unique<RatRacePath<P>>(arena, n);
-    case AlgorithmId::kCombinedLogStar:
-      return std::make_unique<CombinedLe<P>>(
-          arena, n,
-          std::make_unique<GeChainLe<P>>(
-              arena, n, fig1_truncated_factory<P>(n, default_live_prefix(n))));
-    case AlgorithmId::kCombinedSift:
-      return std::make_unique<CombinedLe<P>>(
-          arena, n, std::make_unique<SiftCascadeLe<P>>(arena, n));
-    case AlgorithmId::kTournament:
-      return std::make_unique<TournamentLe<P>>(arena, n);
-    case AlgorithmId::kAaSiftRatRace:
-      return std::make_unique<AaSiftRatRaceLe<P>>(arena, n);
-    case AlgorithmId::kAbortableRace:
-      return std::make_unique<AbortableRace<P>>(arena, n);
-    case AlgorithmId::kNativeAtomic:
-    case AlgorithmId::kDivergeHw:
-      return nullptr;  // hw-only: no simulator form
+  if (!supports(id, exec::Backend::kSim)) return nullptr;  // hw-only
+  if (id == AlgorithmId::kAbortableRace) {
+    return std::make_unique<AbortableRace<SimPlatform>>(arena, n);
   }
-  RTS_ASSERT_MSG(false, "unknown algorithm id");
-  return nullptr;
+  return make_le<SimPlatform>(id, arena, n);
 }
 
 sim::LeBuilder sim_builder(AlgorithmId id) {

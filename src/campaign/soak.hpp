@@ -11,8 +11,8 @@
 // production arbiter's callers would experience it.
 //
 // The chaos layer (src/fault/) turns the driver into an election *service*:
-// per-election deadlines cancel wedged elections (watchdog-assisted),
-// cancelled elections retry under capped exponential backoff with seeded
+// per-election deadlines cancel wedged elections (each participant polices
+// the deadline at its shared ops), cancelled elections retry under capped exponential backoff with seeded
 // jitter, and once the backlog crosses `shed_backlog` the driver sheds
 // arrivals instead of queueing unboundedly.  Every arrival the driver
 // handles lands in exactly one outcome bucket -- completed / timed_out /
@@ -24,8 +24,8 @@
 // same loop campaign hw cells use.
 //
 // The service is *sharded* (`shards`): N persistent HwTrialPool arenas,
-// each with its own k participant threads, CPU-pinning partition, perf
-// counter groups, and deadline watchdog, serve elections concurrently.  A
+// each with its own k participant threads, CPU-pinning partition, and perf
+// counter groups, serve elections concurrently.  A
 // dispatcher walks the open-loop arrival schedule, batches every arrival
 // due at a wakeup into one pass, and routes each to the least-backlog
 // shard (round-robin tie-break, see ShardRouter).  An arrival's seed
@@ -88,7 +88,7 @@ struct SoakSpec {
   /// Participant CPU pinning (see hw::HwPoolOptions::pin_cpus).
   std::vector<int> pin_cpus;
   /// Per-election deadline in nanoseconds; 0 disables.  A timed-out
-  /// election is cancelled by the pool watchdog (cancellation is
+  /// election is cancelled by its participants' contexts (cancellation is
   /// cooperative: participants notice at their next shared op).
   std::uint64_t deadline_ns = 0;
   /// Retry attempts after a deadline cancellation, paced by `backoff`.

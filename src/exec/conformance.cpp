@@ -121,6 +121,7 @@ void drive_hw_scheduled(algo::AlgorithmId id, const sim::CellTrace& cell,
       return;
     }
     fiber::switch_context(driver, *p.fib);
+    p.fib->rethrow_failure();
   }
 
   // Completion drain: participants the sim replay says finished return
@@ -132,7 +133,10 @@ void drive_hw_scheduled(algo::AlgorithmId id, const sim::CellTrace& cell,
         reference.outcomes[static_cast<std::size_t>(pid)] !=
         sim::Outcome::kUnknown;
     if (!finished_in_sim || p.crashed) continue;
-    if (!p.fib->finished()) fiber::switch_context(driver, *p.fib);
+    if (!p.fib->finished()) {
+      fiber::switch_context(driver, *p.fib);
+      p.fib->rethrow_failure();
+    }
     if (!p.fib->finished()) {
       out->push_back(label + ": pid " + std::to_string(pid) +
                      " performed a shared op beyond its recorded schedule");

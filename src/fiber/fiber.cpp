@@ -45,6 +45,9 @@ void switch_context(ExecutionContext& save_into, ExecutionContext& resume) {
                                  resume.asan_stack_bottom_,
                                  resume.asan_stack_size_);
 #endif
+#if RTS_FIBER_TSAN
+  __tsan_switch_to_fiber(resume.tsan_fiber_, 0);
+#endif
   const int rc = ::swapcontext(&save_into.uc_, &resume.uc_);
   RTS_ASSERT_MSG(rc == 0, "swapcontext failed");
 #if RTS_FIBER_ASAN
@@ -54,6 +57,9 @@ void switch_context(ExecutionContext& save_into, ExecutionContext& resume) {
 #endif
 
 Fiber::~Fiber() {
+#if RTS_FIBER_TSAN
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
   if (borrowed_ == nullptr) release_stack(std::move(stack_));
 }
 
@@ -66,6 +72,19 @@ void Fiber::asan_reset_stack() {
   asan_stack_bottom_ = stack().base();
   asan_stack_size_ = stack().size();
   asan_exiting_ = false;
+#endif
+}
+
+void Fiber::tsan_reset_fiber() {
+#if RTS_FIBER_TSAN
+  // A fresh TSan fiber per activation: an abandoned activation never pops
+  // its frames off TSan's fixed-size shadow stack, so reusing the old one
+  // grows it with every rewind until TSan hangs (a fiber abandoned 22 frames
+  // deep did after ~3000 rewinds).  tsan_fiber_ holds the thread's own
+  // handle (from the base constructor) until the first reset.
+  if (tsan_owned_) __tsan_destroy_fiber(tsan_fiber_);
+  tsan_fiber_ = __tsan_create_fiber(0);
+  tsan_owned_ = true;
 #endif
 }
 
@@ -88,6 +107,7 @@ Fiber::Fiber(std::function<void()> fn, MmapStack* borrowed)
 
 void Fiber::rewind() {
   finished_ = false;
+  failure_ = nullptr;
   seed_stack();
 }
 
@@ -103,6 +123,7 @@ void rts_fiber_entry_impl(Fiber* self) {
 
 void Fiber::seed_stack() {
   asan_reset_stack();
+  tsan_reset_fiber();
   // Seed the stack so the first switch "returns" into rts_fctx_boot with
   // this Fiber* in r15.  Layout (addresses descending from the 16-aligned
   // stack top): [pad][pad][&boot][rbp][rbx][r12][r13][r14][r15=this].
@@ -126,6 +147,7 @@ void Fiber::seed_stack() {
 
 void Fiber::seed_stack() {
   asan_reset_stack();
+  tsan_reset_fiber();
   const int rc = ::getcontext(&uc_);
   RTS_ASSERT_MSG(rc == 0, "getcontext failed");
   uc_.uc_stack.ss_sp = stack().base();
@@ -151,7 +173,13 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
 #endif
 
 void Fiber::run() {
-  fn_();
+  // The handler completes before the final switch below, so no catch is
+  // ever left open across stacks.
+  try {
+    fn_();
+  } catch (...) {
+    failure_ = std::current_exception();
+  }
   finished_ = true;
   RTS_ASSERT_MSG(return_to_ != nullptr,
                  "fiber function returned with no return context set");

@@ -42,7 +42,25 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
+// ThreadSanitizer keeps a shadow call stack and a happens-before clock per
+// fiber; it must be told of every stack switch to attribute each access to
+// the fiber that makes it.  The annotations are no-ops in regular builds.
+#if defined(__SANITIZE_THREAD__)
+#define RTS_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define RTS_FIBER_TSAN 1
+#endif
+#endif
+#ifndef RTS_FIBER_TSAN
+#define RTS_FIBER_TSAN 0
+#endif
+#if RTS_FIBER_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
 #include <cstddef>
+#include <exception>
 #include <functional>
 
 #include "fiber/stack.hpp"
@@ -54,11 +72,14 @@ namespace rts::fiber {
 /// (default-constructed) or a Fiber's context.
 class ExecutionContext {
  public:
+  ExecutionContext() {
 #if RTS_FIBER_ASAN
-  ExecutionContext() { asan_capture_thread_stack(); }
-#else
-  ExecutionContext() = default;
+    asan_capture_thread_stack();
 #endif
+#if RTS_FIBER_TSAN
+    tsan_fiber_ = __tsan_get_current_fiber();
+#endif
+  }
   virtual ~ExecutionContext() = default;
 
   ExecutionContext(const ExecutionContext&) = delete;
@@ -71,6 +92,11 @@ class ExecutionContext {
   void* sp_ = nullptr;
 #else
   ucontext_t uc_{};
+#endif
+#if RTS_FIBER_TSAN
+  /// TSan's handle for this context: a thread root keeps its thread's own,
+  /// a Fiber owns one from __tsan_create_fiber.
+  void* tsan_fiber_ = nullptr;
 #endif
 #if RTS_FIBER_ASAN
  public:
@@ -98,6 +124,10 @@ void switch_context(ExecutionContext& save_into, ExecutionContext& resume);
 /// running the first time something switches into the fiber.  When the
 /// function returns, control jumps to the context designated by
 /// `set_return_to` (which must be set before the final return happens).
+/// A throw cannot unwind across the fiber boundary, so the fiber catches
+/// whatever its function throws and finishes as usual; whoever resumes it
+/// and finds it finished calls rethrow_failure(), which carries the
+/// exception on to the resumer's stack.
 class Fiber final : public ExecutionContext {
  public:
   static constexpr std::size_t kDefaultStackBytes = 128 * 1024;
@@ -122,11 +152,20 @@ class Fiber final : public ExecutionContext {
 
   bool finished() const { return finished_; }
 
+  /// Rethrows what the fiber's function threw, on the caller's stack; a
+  /// no-op while the fiber runs or after its function returned.  Every
+  /// resume that finds the fiber finished calls this, so a failed fiber is
+  /// never taken for a normal finish.
+  void rethrow_failure() const {
+    if (failure_) std::rethrow_exception(failure_);
+  }
+
   /// Re-seeds the stack so the next switch into the fiber is a fresh first
-  /// activation of the same function.  Valid whether the fiber finished or
-  /// was abandoned mid-run; like destruction of an abandoned fiber, objects
-  /// live on the old stack contents are dropped without unwinding.  Must not
-  /// be called on the currently running fiber.
+  /// activation of the same function, and forgets any failure.  Valid
+  /// whether the fiber finished or was abandoned mid-run; like destruction
+  /// of an abandoned fiber, objects live on the old stack contents are
+  /// dropped without unwinding.  Must not be called on the currently
+  /// running fiber.
   void rewind();
 
  private:
@@ -137,6 +176,7 @@ class Fiber final : public ExecutionContext {
 #endif
   void seed_stack();
   void asan_reset_stack();  // no-op outside ASan builds
+  void tsan_reset_fiber();  // no-op outside TSan builds
   void run();
   MmapStack& stack() { return borrowed_ != nullptr ? *borrowed_ : stack_; }
 
@@ -145,6 +185,10 @@ class Fiber final : public ExecutionContext {
   std::function<void()> fn_;
   ExecutionContext* return_to_ = nullptr;
   bool finished_ = false;
+  std::exception_ptr failure_;  ///< what fn_ threw, if it threw
+#if RTS_FIBER_TSAN
+  bool tsan_owned_ = false;  ///< tsan_fiber_ came from __tsan_create_fiber
+#endif
 };
 
 #if RTS_FIBER_FAST_CONTEXT
@@ -161,6 +205,9 @@ inline void switch_context(ExecutionContext& save_into,
   __sanitizer_start_switch_fiber(save_into.asan_exiting_ ? nullptr : &fake,
                                  resume.asan_stack_bottom_,
                                  resume.asan_stack_size_);
+#endif
+#if RTS_FIBER_TSAN
+  __tsan_switch_to_fiber(resume.tsan_fiber_, 0);
 #endif
   rts_fctx_swap(&save_into.sp_, resume.sp_);
 #if RTS_FIBER_ASAN

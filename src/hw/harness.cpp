@@ -15,12 +15,7 @@
 #include <sched.h>
 #endif
 
-#include "algo/aa.hpp"
-#include "algo/cascade.hpp"
-#include "algo/chain.hpp"
-#include "algo/combined.hpp"
-#include "algo/ratrace.hpp"
-#include "algo/tournament.hpp"
+#include "algo/make_le.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 
@@ -51,46 +46,12 @@ class DivergeHwLe final : public algo::ILeaderElect<HwPlatform> {
 
 std::unique_ptr<algo::ILeaderElect<HwPlatform>> make_hw_le(
     algo::AlgorithmId id, HwPlatform::Arena arena, int n) {
-  using P = HwPlatform;
   RTS_REQUIRE(algo::supports(id, exec::Backend::kHw),
               "algorithm has no hardware backend");
-  switch (id) {
-    case algo::AlgorithmId::kLogStarChain:
-      return std::make_unique<algo::GeChainLe<P>>(
-          arena, n,
-          algo::fig1_truncated_factory<P>(n, algo::default_live_prefix(n)));
-    case algo::AlgorithmId::kSiftChain:
-      return std::make_unique<algo::GeChainLe<P>>(
-          arena, n, algo::sift_truncated_factory<P>(n));
-    case algo::AlgorithmId::kSiftCascade:
-      return std::make_unique<algo::SiftCascadeLe<P>>(arena, n);
-    case algo::AlgorithmId::kRatRace:
-      return std::make_unique<algo::RatRaceOriginal<P>>(arena, n);
-    case algo::AlgorithmId::kRatRacePath:
-      return std::make_unique<algo::RatRacePath<P>>(arena, n);
-    case algo::AlgorithmId::kCombinedLogStar:
-      return std::make_unique<algo::CombinedLe<P>>(
-          arena, n,
-          std::make_unique<algo::GeChainLe<P>>(
-              arena, n,
-              algo::fig1_truncated_factory<P>(n,
-                                              algo::default_live_prefix(n))));
-    case algo::AlgorithmId::kCombinedSift:
-      return std::make_unique<algo::CombinedLe<P>>(
-          arena, n, std::make_unique<algo::SiftCascadeLe<P>>(arena, n));
-    case algo::AlgorithmId::kTournament:
-      return std::make_unique<algo::TournamentLe<P>>(arena, n);
-    case algo::AlgorithmId::kAaSiftRatRace:
-      return std::make_unique<algo::AaSiftRatRaceLe<P>>(arena, n);
-    case algo::AlgorithmId::kDivergeHw:
-      return std::make_unique<DivergeHwLe>(arena);
-    case algo::AlgorithmId::kNativeAtomic:
-      return nullptr;
-    case algo::AlgorithmId::kAbortableRace:
-      break;  // sim-only: the supports() check above rejects it
+  if (id == algo::AlgorithmId::kDivergeHw) {
+    return std::make_unique<DivergeHwLe>(arena);
   }
-  RTS_ASSERT_MSG(false, "unknown hardware algorithm id");
-  return nullptr;
+  return algo::make_le<HwPlatform>(id, arena, n);  // null: native atomic
 }
 
 exec::TrialSummary summarize_trial(const HwRunResult& result) {
@@ -168,42 +129,10 @@ HwTrialPool::HwTrialPool(int k, HwPoolOptions pool_options)
 HwTrialPool::~HwTrialPool() { shutdown(); }
 
 void HwTrialPool::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_.store(true, std::memory_order_relaxed);
-  }
-  watchdog_cv_.notify_all();
+  stop_.store(true, std::memory_order_relaxed);
   job_.fetch_add(1, std::memory_order_release);
   job_.notify_all();
-  threads_.clear();  // join; watchdog_ joins in its own destructor
-}
-
-void HwTrialPool::watchdog_main() {
-  std::unique_lock<std::mutex> lock(mu_);
-  std::uint64_t seen = 0;  // spawned before the first armed job is published
-  for (;;) {
-    watchdog_cv_.wait(lock, [&] { return stop_ || job_seq_ != seen; });
-    if (stop_) return;
-    seen = job_seq_;
-    // The predicate watches job_seq_ as well as job_done_: the captured
-    // wait_until deadline belongs to job `seen`, and in the multi-pool /
-    // back-to-back-run world the job can finish and run() can publish the
-    // *next* armed one before this thread ever wakes (job_done_ flips true
-    // and back to false while we sleep).  Without the seq guard that stale
-    // deadline would fire and cancel the new job at the old job's --
-    // possibly much earlier -- deadline; with it, a timeout return can
-    // only mean job `seen` itself is still running past its own deadline.
-    if (!watchdog_cv_.wait_until(lock, watchdog_deadline_, [&] {
-          return stop_ || job_done_ || job_seq_ != seen;
-        })) {
-      // Deadline passed with this job still running: cancel.  Participants
-      // observe the flag at their next shared op and unwind; run() still
-      // waits for every participant to count out, so no state is torn
-      // down early.
-      cancel_.store(true, std::memory_order_relaxed);
-    }
-    if (stop_) return;
-  }
+  threads_.clear();  // join
 }
 
 void HwTrialPool::participant(int pid) {
@@ -216,12 +145,11 @@ void HwTrialPool::participant(int pid) {
   // workers running sim cells never leak cycles into hw measurements.  It
   // lives in place: outside its elections the thread allocates nothing, so
   // nothing can throw out of this entry function.
-  std::optional<telemetry::PerfCounterGroup> perf;
-  if (pool_options_.perf_counters) {
-    perf.emplace();
-    if (!perf->available()) perf.reset();
+  std::optional<telemetry::PerfCounterGroup> perf(std::in_place);
+  if (!perf->available()) {
+    perf.reset();
+    perf_missing_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (!perf) perf_missing_.fetch_add(1, std::memory_order_relaxed);
 
   const auto k = static_cast<std::uint32_t>(k_);
   std::uint32_t seen = 0;  // job_ as the constructor left it
@@ -277,7 +205,7 @@ void HwTrialPool::elect_once(int pid, const fault::ParticipantFault* fault) {
       support::derive_seed(seed_, static_cast<std::uint64_t>(pid)));
   HwPlatform::Context ctx(pid, rng);
   ctx.set_step_limit(step_limit_);
-  if (deadline_armed_) ctx.set_cancel_flag(&cancel_);
+  if (deadline_) ctx.set_deadline(*deadline_);
   // A delay sleeps before the first shared op, a stall arms the context's
   // one-shot mid-election sleep.
   if (fault != nullptr && fault->stall_us > 0) {
@@ -325,10 +253,6 @@ HwRunResult HwTrialPool::run(algo::AlgorithmId id, int n, std::uint64_t seed,
   result.n = n;
   result.k = k_;
   step_limit_ = options.step_limit;
-  deadline_armed_ = options.deadline_ns > 0;
-  if (deadline_armed_ && !watchdog_.joinable()) {
-    watchdog_ = std::jthread([this] { watchdog_main(); });
-  }
   result_ = &result;
   for (int attempt = 0;; ++attempt) {
     const std::uint64_t attempt_seed =
@@ -354,30 +278,17 @@ HwRunResult HwTrialPool::run(algo::AlgorithmId id, int n, std::uint64_t seed,
     faults_ = chaos ? &faults : nullptr;
     aborted_.store(0, std::memory_order_relaxed);
     cancelled_.store(0, std::memory_order_relaxed);
-    cancel_.store(false, std::memory_order_relaxed);
     failed_pid_.store(-1, std::memory_order_relaxed);
     remaining_.store(static_cast<std::uint32_t>(k_), std::memory_order_relaxed);
     const std::uint32_t done = done_.load(std::memory_order_relaxed);
-    if (deadline_armed_) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        job_done_ = false;
-        watchdog_deadline_ = std::chrono::steady_clock::now() +
-                             std::chrono::nanoseconds(options.deadline_ns);
-        ++job_seq_;
-      }
-      watchdog_cv_.notify_all();
+    deadline_.reset();
+    if (options.deadline_ns > 0) {
+      deadline_ = std::chrono::steady_clock::now() +
+                  std::chrono::nanoseconds(options.deadline_ns);
     }
     job_.fetch_add(1, std::memory_order_release);  // publishes the job state
     job_.notify_all();
     done_.wait(done, std::memory_order_acquire);  // the last one out bumps it
-    if (deadline_armed_) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        job_done_ = true;  // disarms the watchdog for this job
-      }
-      watchdog_cv_.notify_all();
-    }
     ++trials_run_;
     const int failed_pid = failed_pid_.load(std::memory_order_relaxed);
     if (failed_pid >= 0) {

@@ -13,12 +13,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,9 +49,9 @@ struct HwRunOptions {
   /// hw::StepLimitReached).  Participants exceeding it abort; the trial
   /// reports them unfinished and is marked incomplete instead of hanging.
   std::uint64_t step_limit = UINT64_MAX;
-  /// Wall-clock deadline per attempt, nanoseconds; 0 disables.  The pool's
-  /// watchdog arms a cancel flag at the deadline and participants throw
-  /// ElectionCancelled at their next shared op -- the attempt ends
+  /// Wall-clock deadline per attempt, nanoseconds; 0 disables.  Each
+  /// participant's context reads the clock after every shared op and throws
+  /// ElectionCancelled once the deadline has passed -- the attempt ends
   /// timed_out instead of hanging the caller.
   std::uint64_t deadline_ns = 0;
   /// Attempts after a timed-out one, each on a salted seed (kRetrySalt)
@@ -82,7 +80,7 @@ struct HwRunResult {
   /// False when the step-limit watchdog fired or the deadline cancelled
   /// the final attempt.
   bool completed = true;
-  /// The deadline watchdog cancelled the final attempt.
+  /// The deadline cancelled the final attempt.
   bool timed_out = false;
   int retries = 0;  ///< attempts after the first
   /// Faults dealt to the participants, summed over attempts.
@@ -98,11 +96,6 @@ exec::TrialSummary summarize_trial(const HwRunResult& result);
 
 /// Pool-lifetime knobs (as opposed to the per-run HwRunOptions).
 struct HwPoolOptions {
-  /// Open a per-participant perf_event counter group (cycles, instructions,
-  /// cache-misses, dTLB-misses) and bracket each election with it.
-  /// Degrades to a no-op where perf_event_open is unavailable; see
-  /// telemetry::PerfCounterGroup.
-  bool perf_counters = true;
   /// CPU affinity list: participant pid is pinned to
   /// pin_cpus[pid % pin_cpus.size()].  Empty = unpinned.  On NUMA boxes,
   /// passing one socket's CPU list keeps the election's cache traffic
@@ -113,6 +106,8 @@ struct HwPoolOptions {
 /// Persistent pool of `k` parked participant threads reused across hardware
 /// trials: the per-trial cost drops from k thread spawns + joins to three
 /// futex wakes (the job, the participants' start line, the completion).
+/// The pool runs exactly k threads: an armed deadline travels with the job
+/// into each participant's context, which polices it after every shared op.
 /// The only way to run an hw election: one pool per campaign cell, soak
 /// shard, or run_hw_many stream (a one-off election is a one-election
 /// pool).  run() is not thread-safe -- callers serialize trials, which the
@@ -134,9 +129,12 @@ class HwTrialPool {
   std::uint64_t trials_run() const { return trials_run_; }
 
   /// Summed per-participant counter readings over every election this pool
-  /// has run.  All-invalid when perf was disabled, unavailable on this
-  /// machine, or any participant failed to open its group (a partial sum
-  /// would undercount, which is worse than honestly reporting nothing).
+  /// has run.  Each participant opens a perf_event counter group (cycles,
+  /// instructions, cache-misses, dTLB-misses; see telemetry::PerfCounterGroup)
+  /// and brackets each election with it.  All-invalid when perf_event_open
+  /// is unavailable on this machine or any participant failed to open its
+  /// group (a partial sum would undercount, which is worse than honestly
+  /// reporting nothing).
   /// Call between trials only (same serialization rule as run()).
   telemetry::PerfCounts perf_totals() const;
 
@@ -163,7 +161,6 @@ class HwTrialPool {
   void participant(int pid);
   void elect_once(int pid, const fault::ParticipantFault* fault);
   void shutdown();
-  void watchdog_main();
 
   int k_;
   // The hand-off: 32-bit words waited on with std::atomic::wait.  run()
@@ -189,7 +186,8 @@ class HwTrialPool {
   std::uint64_t step_limit_ = UINT64_MAX;
   HwRunResult* result_ = nullptr;  ///< participant pid writes slot pid
   const fault::TrialFaults* faults_ = nullptr;  ///< null: no faults dealt
-  bool deadline_armed_ = false;
+  /// The attempt's deadline, armed on every participant's context.
+  std::optional<std::chrono::steady_clock::time_point> deadline_;
   std::atomic<int> aborted_{0};
   std::atomic<int> cancelled_{0};  ///< participants unwound on the deadline
   // The first participant whose election threw anything else claims
@@ -197,27 +195,12 @@ class HwTrialPool {
   std::atomic<int> failed_pid_{-1};
   std::exception_ptr failure_;
   std::uint64_t trials_run_ = 0;
-  // Deadline watchdog: one thread, spawned by the first armed run() and
-  // parked on its own condition variable; only armed attempts touch it.
-  // run() publishes an armed job's deadline, the watchdog wait_until()s
-  // it, and sets cancel_ if the job is not done by then.  All watchdog
-  // state is guarded by mu_.  The timed wait re-checks job_seq_ against
-  // the sequence it armed for: a spurious or late wake after the job
-  // completed and the *next* armed job was published must not fire the
-  // stale deadline into the new election.
-  std::mutex mu_;
-  std::condition_variable watchdog_cv_;
-  std::uint64_t job_seq_ = 0;  ///< armed attempts published so far
-  std::chrono::steady_clock::time_point watchdog_deadline_{};
-  bool job_done_ = true;
-  std::atomic<bool> cancel_{false};
   HwPoolOptions pool_options_;
   // Slot pid is written only by participant pid, between the election and
   // its remaining_ countdown (which orders it before run() returns).
   std::vector<telemetry::PerfCounts> perf_slots_;
   std::atomic<int> perf_missing_{0};  ///< participants without a counter group
-  std::vector<std::jthread> threads_;
-  std::jthread watchdog_;  ///< last member: joins before the state above dies
+  std::vector<std::jthread> threads_;  ///< last member: joins first
 };
 
 /// Runs `trials` elections (n = k) through one persistent HwTrialPool and

@@ -3,9 +3,11 @@
 // consistent by default" policy) and ordinary threads.
 //
 // The Context counts shared-memory operations (so hardware runs report the
-// same step metric as the simulator) and implements the combiner's fiber
-// hooks: on hardware there is no kernel to suspend to, so yield-after-op
-// switches directly from the child fiber back to the coordinator.
+// same step metric as the simulator), polices each one against the
+// election's step budget, deadline and fault stall, and implements the
+// combiner's fiber hooks: on hardware there is no kernel to suspend to, so
+// yield-after-op switches directly from the child fiber back to the
+// coordinator.
 #pragma once
 
 #include <atomic>
@@ -30,8 +32,8 @@ namespace rts::hw {
 /// marked incomplete, instead of a diverging algorithm hanging the campaign.
 struct StepLimitReached {};
 
-/// Thrown by Context::on_op / charge_child_op when the armed cancel flag is
-/// set (the deadline watchdog fired).  Like StepLimitReached it unwinds on
+/// Thrown by Context::on_op / charge_child_op when an op completes at or
+/// after the context's armed deadline.  Like StepLimitReached it unwinds on
 /// the participant's own thread; the harness catches it and reports the
 /// election timed out.  Cancellation is cooperative: a participant notices
 /// at its next shared op, so a sleeping (stalled) participant cancels only
@@ -127,25 +129,26 @@ struct HwPlatform {
     }
     fiber::ExecutionContext& exec_slot() { return *exec_slot_; }
 
-    /// Arms the step-limit watchdog: on_op throws StepLimitReached once this
-    /// context performs more than `limit` shared ops -- a divergence abort
-    /// knob, not a precise step meter.  Child contexts (combiner
-    /// sub-elections on child fibers) deliberately do NOT carry the limit:
-    /// an exception cannot unwind across a fiber boundary, so child ops are
-    /// charged on the coordinator's (root) stack via charge_child_op
-    /// instead.
+    /// Arms the step-limit watchdog: an op throws StepLimitReached once this
+    /// context has performed more than `limit` shared ops -- a divergence
+    /// abort knob, not a precise step meter.  Root contexts only, like the
+    /// deadline and the stall: a combiner's child ops are charged on the
+    /// coordinator's (root) stack via charge_child_op, so one budget covers
+    /// the whole election.
     void set_step_limit(std::uint64_t limit) { step_limit_ = limit; }
     std::uint64_t step_limit() const { return step_limit_; }
 
-    /// Arms cooperative cancellation: once *flag is true, the next shared
-    /// op throws ElectionCancelled.  Root contexts only (same fiber-unwind
-    /// constraint as the step limit); null disarms.
-    void set_cancel_flag(const std::atomic<bool>* flag) { cancel_ = flag; }
+    /// Arms the attempt's wall-clock deadline: once an op completes at or
+    /// after `deadline`, the context throws ElectionCancelled.  An unarmed
+    /// context never reads the clock.  Root contexts only.
+    void set_deadline(std::chrono::steady_clock::time_point deadline) {
+      deadline_ = deadline;
+    }
 
-    /// Arms a one-shot fault-injection stall: after this context's
-    /// `after_op`-th own shared op completes, sleep `us` microseconds
-    /// before returning to the algorithm (a mid-election GC pause /
-    /// preemption stand-in).  Root contexts only.
+    /// Arms a one-shot fault-injection stall: once this context's
+    /// `after_op`-th shared op (own or child) completes, sleep `us`
+    /// microseconds before returning to the algorithm (a mid-election GC
+    /// pause / preemption stand-in).  Root contexts only.
     void set_stall(std::uint64_t after_op, std::uint32_t us) {
       stall_after_op_ = after_op;
       stall_us_ = us;
@@ -155,33 +158,37 @@ struct HwPlatform {
     /// fibers performed (charged by the combiner's coordinator loop).
     std::uint64_t ops() const { return ops_ + child_ops_; }
 
-    /// Charges one child-fiber shared op against this context's budget.
-    /// Called by the combiner coordinator right after a child yields (one
-    /// yield = one shared op), so the budget check -- and any
-    /// StepLimitReached -- happens on the coordinator's own stack, where the
-    /// harness can catch it.  Like on_op, it then honors yield_after_op_:
-    /// real hw threads never set it on a root context, but the conformance
-    /// harness's scheduled drive does, and needs exactly one yield per
-    /// shared op -- child ops included -- to hold a recorded schedule.
+    /// Charges one child-fiber shared op to this context.  Called by the
+    /// combiner coordinator right after a child yields (one yield = one
+    /// shared op), so the op answers to the same budget, deadline and stall
+    /// as an own op, on the coordinator's stack.  The conformance harness's
+    /// scheduled drive sets yield_after_op_ on a root context and needs
+    /// exactly one yield per shared op -- child ops included -- to hold a
+    /// recorded schedule.
     void charge_child_op() {
       ++child_ops_;
-      if (ops() > step_limit_) throw StepLimitReached{};
-      if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
-        throw ElectionCancelled{};
-      }
-      if (yield_after_op_ != nullptr) {
-        fiber::switch_context(*exec_slot_, *yield_after_op_);
-      }
+      police();
     }
 
     /// Called by Reg after every shared-memory operation.
     void on_op() {
       ++ops_;
+      police();
+    }
+
+   private:
+    static constexpr std::chrono::steady_clock::time_point kUnarmed =
+        std::chrono::steady_clock::time_point::max();
+
+    /// Runs after every op, own or child, in this order: the step budget,
+    /// the deadline, the one-shot stall, the yield.
+    void police() {
       if (ops() > step_limit_) throw StepLimitReached{};
-      if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
+      if (deadline_ != kUnarmed &&
+          std::chrono::steady_clock::now() >= deadline_) {
         throw ElectionCancelled{};
       }
-      if (stall_us_ != 0 && ops_ == stall_after_op_) {
+      if (stall_us_ != 0 && ops() == stall_after_op_) {
         const std::uint32_t us = stall_us_;
         stall_us_ = 0;  // one-shot
         std::this_thread::sleep_for(std::chrono::microseconds(us));
@@ -191,7 +198,6 @@ struct HwPlatform {
       }
     }
 
-   private:
     int pid_;
     support::RandomSource* rng_;
     // The thread's own continuation (allocated only for root contexts, so
@@ -199,7 +205,7 @@ struct HwPlatform {
     std::unique_ptr<fiber::ExecutionContext> root_slot_;
     fiber::ExecutionContext* exec_slot_;
     fiber::ExecutionContext* yield_after_op_ = nullptr;
-    const std::atomic<bool>* cancel_ = nullptr;
+    std::chrono::steady_clock::time_point deadline_ = kUnarmed;
     std::uint64_t ops_ = 0;
     std::uint64_t child_ops_ = 0;
     std::uint64_t step_limit_ = UINT64_MAX;
@@ -208,9 +214,9 @@ struct HwPlatform {
     std::uint64_t stage_ = 0;
   };
 
-  /// Child contexts carry no step limit of their own: their ops are charged
-  /// against the parent's budget on the parent's stack (charge_child_op),
-  /// because a throw on a child fiber's stack could not unwind out.
+  /// Child contexts carry no step limit, deadline or stall of their own:
+  /// the coordinator charges each child op to the parent (charge_child_op),
+  /// so one policing routine on the parent's stack covers the election.
   static Context child_context(Context& parent,
                                fiber::ExecutionContext& slot) {
     return Context(parent.pid(), parent.rng(), slot);

@@ -106,10 +106,12 @@ void SimProcess::resume_with_result(std::uint64_t op_result) {
 
 void SimProcess::finish_bookkeeping() {
   // Control just returned to the kernel: the process either announced a new
-  // op or its main fiber ran to completion.
+  // op or its main fiber ran to completion -- or threw, and the throw
+  // carries on from here, on the kernel's stack, out of the trial.
   if (fiber_.finished()) {
-    RTS_ASSERT_MSG(!has_pending_, "finished with an unexecuted pending op");
     state_ = State::kFinished;
+    fiber_.rethrow_failure();
+    RTS_ASSERT_MSG(!has_pending_, "finished with an unexecuted pending op");
   } else {
     RTS_ASSERT_MSG(has_pending_, "process suspended without announcing an op");
     state_ = State::kReady;

@@ -122,6 +122,11 @@ class SimProcess {
 
   Kernel* kernel_;
   int pid_;
+  // Beside pid_, in what would be padding: with the fiber's failure slot,
+  // this keeps SimProcess at 256 bytes, in the malloc size class it had
+  // before (at 272 bytes a fresh 1024-process kernel ran 25-35% slower).
+  bool has_pending_ = false;
+  bool abort_requested_ = false;
   std::function<void(Context&)> body_;
   std::unique_ptr<support::RandomSource> rng_;
   fiber::Fiber fiber_;
@@ -129,12 +134,10 @@ class SimProcess {
 
   State state_ = State::kUnstarted;
   PendingOp pending_{};
-  bool has_pending_ = false;
   std::uint64_t op_result_ = 0;
   fiber::ExecutionContext* resume_point_ = nullptr;
   std::uint64_t steps_ = 0;
   std::uint64_t stage_ = 0;
-  bool abort_requested_ = false;
 };
 
 }  // namespace rts::sim

@@ -3,10 +3,14 @@
 // catalogue.  Stress: exactly one winner across many trials for every
 // hw-capable algorithm; ops accounting; the combiner's nested fibers inside
 // ordinary threads; the shared exec::TrialSummary contract; the pool's
-// hand-off across back-to-back elections and its lazily spawned watchdog.
+// hand-off across back-to-back elections, its k threads whether or not a
+// deadline is armed, and the one policing routine that own and child ops
+// share.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "hw/harness.hpp"
@@ -153,9 +157,10 @@ TEST(HwTrialPool, BackToBackElectionsHandOffCleanly) {
 }
 
 TEST(HwTrialPool, ArmedElectionAfterUnarmedOnesTimesOut) {
-  // Unarmed elections never start the watchdog; the first armed one does,
-  // and must still be cancelled at its deadline.  Every participant sleeps
-  // 50ms before its first shared op against a 0.2ms deadline.
+  // Unarmed elections never read the clock; the first armed one arms every
+  // participant's context, and must still be cancelled at its deadline.
+  // Every participant sleeps 50ms before its first shared op against a
+  // 0.2ms deadline.
   const auto plan = fault::FaultPlan::parse("delay:p=1,us=50000", nullptr);
   ASSERT_TRUE(plan.has_value());
   HwTrialPool pool(2);
@@ -173,6 +178,65 @@ TEST(HwTrialPool, ArmedElectionAfterUnarmedOnesTimesOut) {
   EXPECT_TRUE(after.completed);
   EXPECT_EQ(after.winners, 1);
   EXPECT_TRUE(after.violations.empty());
+}
+
+/// This process's thread count, from /proc/self/status (-1 if unreadable).
+int thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(HwTrialPool, ArmedPoolRunsExactlyKThreads) {
+  // The deadline travels with the job into each participant's context: an
+  // armed run() starts no thread of its own, before or after it times out.
+  const auto plan = fault::FaultPlan::parse("delay:p=1,us=50000", nullptr);
+  ASSERT_TRUE(plan.has_value());
+  constexpr int k = 3;
+  HwTrialPool pool(k);
+  const int before = thread_count();
+  ASSERT_GT(before, k);
+  HwRunOptions armed;
+  armed.deadline_ns = 1'000'000'000;
+  const HwRunResult completed =
+      pool.run(algo::AlgorithmId::kTournament, k, 1, armed);
+  EXPECT_TRUE(completed.completed);
+  EXPECT_EQ(completed.winners, 1);
+  EXPECT_EQ(thread_count(), before);
+  armed.deadline_ns = 200'000;
+  armed.plan = &*plan;
+  const HwRunResult cancelled =
+      pool.run(algo::AlgorithmId::kTournament, k, 2, armed);
+  EXPECT_TRUE(cancelled.timed_out);
+  EXPECT_EQ(thread_count(), before);
+}
+
+TEST(HwTrialPool, DealtStallSleepsOnCombinedElectionsToo) {
+  // Child ops count toward the stall index like own ops, so a stall dealt
+  // to a combined election sleeps as it does on any other.  A lone
+  // participant always runs past op 8, the highest index the plan draws;
+  // ratrace-path, which has no child ops, is the control.
+  const auto plan = fault::FaultPlan::parse("stall:p=1,us=20000", nullptr);
+  ASSERT_TRUE(plan.has_value());
+  HwRunOptions options;
+  options.plan = &*plan;
+  for (const algo::AlgorithmId id :
+       {algo::AlgorithmId::kCombinedSift, algo::AlgorithmId::kCombinedLogStar,
+        algo::AlgorithmId::kRatRacePath}) {
+    HwTrialPool pool(1);
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      const HwRunResult r = pool.run(id, /*n=*/2, seed, options);
+      ASSERT_EQ(r.faults.stalls, 1u);
+      EXPECT_EQ(r.winners, 1);
+      EXPECT_GT(r.ops[0], 8u) << algo::info(id).name << " seed " << seed;
+      EXPECT_GE(r.wall_seconds, 0.020)
+          << algo::info(id).name << " seed " << seed
+          << ": the dealt stall never slept";
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 // Tests for the simulator substrate: memory accounting, process lifecycle,
 // pending-op announcement, adversary view filtering per adversary class,
-// crash semantics, determinism, and the high-level runner.
+// crash semantics, determinism, and the high-level runner -- including a
+// throw inside one process's election, which fails its trial.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "exec/workspace.hpp"
 #include "sim/adversaries.hpp"
 #include "sim/adversary.hpp"
 #include "sim/kernel.hpp"
@@ -351,6 +356,82 @@ TEST(Runner, AggregateCollectsTrials) {
   EXPECT_EQ(agg.runs, 20);
   EXPECT_EQ(agg.max_steps.count(), 20u);
   EXPECT_GT(agg.max_steps.mean(), 0.0);
+}
+
+/// The trivial object, except that while *armed is set, pid 1 throws in
+/// place of its second op (and clears *armed).
+sim::LeBuilder throwing_le_builder(std::shared_ptr<bool> armed) {
+  return [armed](Kernel& kernel, int) -> BuiltLe {
+    const RegId flag = kernel.memory().alloc("flag");
+    BuiltLe built;
+    built.declared_registers = 1;
+    built.elect = [flag, armed](Context& ctx) {
+      const bool taken = ctx.read(flag) != 0;
+      if (ctx.pid() == 1 && *armed) {
+        *armed = false;
+        throw std::runtime_error("pid 1 failed at its second op");
+      }
+      if (taken) return Outcome::kLose;
+      ctx.write(flag, 1);
+      return Outcome::kWin;
+    };
+    return built;
+  };
+}
+
+/// Inside an EXPECT_EXIT child: a failed check exits 1 with a message.
+void check(bool ok, const char* what) {
+  if (ok) return;
+  std::fprintf(stderr, "check failed: %s\n", what);
+  std::exit(1);
+}
+
+TEST(Runner, ElectThrowFailsTheTrialAndThePoolKeepsRunning) {
+  // The throw cannot unwind off the process's fiber: the fiber keeps it and
+  // the kernel rethrows it on its own stack, out of the trial.  Runs in an
+  // EXPECT_EXIT child, so a std::terminate fails the assertion instead of
+  // ending the suite.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        constexpr int k = 3;
+        constexpr std::uint64_t seed0 = 9;
+        const auto armed = std::make_shared<bool>(true);
+        const LeBuilder builder = throwing_le_builder(armed);
+        const AdversaryFactory random = [](std::uint64_t seed) {
+          return std::make_unique<UniformRandomAdversary>(seed);
+        };
+        const auto throws = [](const auto& run) {
+          try {
+            run();
+          } catch (const std::runtime_error&) {
+            return true;
+          }
+          return false;
+        };
+        UniformRandomAdversary adversary(1);
+        check(throws([&] { run_le_once(builder, k, k, adversary, 1); }),
+              "run_le_once must throw");
+        *armed = true;
+        exec::TrialWorkspace workspace;
+        check(throws([&] {
+                workspace.run_le_trial(0, builder, k, k, random, 0, seed0);
+              }),
+              "the workspace trial must throw");
+        // The stream's next trial rewinds the kernel the throw left behind.
+        const LeRunResult pooled =
+            workspace.run_le_trial(0, builder, k, k, random, 1, seed0);
+        const LeRunResult fresh = run_le_trial(builder, k, k, random, 1, seed0);
+        check(pooled.outcomes == fresh.outcomes && pooled.steps == fresh.steps,
+              "outcomes and steps of the next pooled trial");
+        check(pooled.total_steps == fresh.total_steps &&
+                  pooled.winners == fresh.winners &&
+                  pooled.regs_touched == fresh.regs_touched &&
+                  pooled.violations == fresh.violations,
+              "totals and violations of the next pooled trial");
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -17,9 +17,9 @@
 //    to each arrival's latency, and the dispatcher's fine timer slack is
 //    undone when the soak returns,
 //  * checked CLI numeric parsing (the atoi-hardening bugfix),
-//  * HwTrialPool deadline-watchdog shutdown ordering: repeated
+//  * HwTrialPool deadline shutdown ordering: repeated
 //    construct/cancel/destruct stress (ASan/UBSan coverage) and the
-//    stale-deadline re-arm regression,
+//    stale-deadline regression (each attempt carries its own deadline),
 //  * the one deadline/retry loop: the same forced timeouts counted alike
 //    by HwTrialPool::run, a campaign hw cell, and a soak.
 #include <gtest/gtest.h>
@@ -430,19 +430,17 @@ TEST(CheckedFlags, DoubleParserRequiresFinitePositiveFullToken) {
   EXPECT_EQ(parse_double_flag("--soak", "1.5", 0.0), 1.5);
 }
 
-// ------------------------------------------- watchdog teardown ordering --
+// ------------------------------------------- deadline teardown ordering --
 
 TEST(WatchdogStress, RepeatedConstructCancelDestruct) {
   // Shutdown-ordering stress for the multi-pool world: every iteration
   // builds a pool, forces a real deadline cancellation, and tears the pool
-  // down while the watchdog has just fired.  ASan/UBSan in CI turns any
-  // watchdog-after-free or cancel-vs-parking race into a hard failure.
+  // down right after its participants unwound.  ASan/UBSan in CI turns any
+  // use-after-free or cancel-vs-parking race into a hard failure.
   // A delay fault makes the timeout deterministic: every participant
-  // sleeps 50ms before its *first* shared op, the 0.2ms deadline fires
-  // mid-sleep, and the first op observes the cancel flag and unwinds (a
+  // sleeps 50ms before its *first* shared op, the 0.2ms deadline passes
+  // mid-sleep, and the first op reads the clock past it and unwinds (a
   // stall would land at a random op index the election may never reach).
-  // The ~50ms margin is far beyond any wake-up delay of the watchdog
-  // thread, even under a fully loaded parallel test run.
   const auto plan = fault::FaultPlan::parse("delay:p=1,us=50000", nullptr);
   ASSERT_TRUE(plan.has_value());
   for (int i = 0; i < 20; ++i) {
@@ -454,19 +452,18 @@ TEST(WatchdogStress, RepeatedConstructCancelDestruct) {
                                          static_cast<std::uint64_t>(i), options);
     EXPECT_TRUE(run.timed_out);
     EXPECT_FALSE(run.completed);
-    // Pool destructs here, immediately after the watchdog cancelled.
+    // Pool destructs here, immediately after the cancellation.
   }
 }
 
 TEST(WatchdogStress, StaleDeadlineDoesNotCancelTheNextElection) {
-  // Regression for the stale-deadline race: an armed election that
-  // *finishes* leaves the watchdog parked on its captured deadline; if the
-  // next armed election is published before the watchdog wakes, the old
-  // deadline must not cancel it (nor must the watchdog ignore the new,
-  // longer one).  Election A completes in microseconds with a 100ms
-  // deadline; election B is delayed 250ms under a 2s deadline.  A's stale
-  // deadline falls mid-B, so without the job_seq_ re-arm check B is
-  // wrongly cancelled.
+  // Regression for the stale-deadline race of the former deadline watchdog
+  // thread: an armed election that *finishes* must not let its deadline
+  // cancel the next armed election (nor may the next one lose its own,
+  // longer deadline).  Each attempt now carries its deadline in its
+  // participants' contexts.  Election A completes in microseconds with a
+  // 100ms deadline; election B is delayed 250ms under a 2s deadline.  A's
+  // deadline falls mid-B, so a stale deadline would wrongly cancel B.
   const auto plan = fault::FaultPlan::parse("delay:p=1,us=250000", nullptr);
   ASSERT_TRUE(plan.has_value());
   hw::HwTrialPool pool(2);
