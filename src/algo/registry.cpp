@@ -1,12 +1,48 @@
 #include "algo/registry.hpp"
 
-#include "algo/abortable.hpp"
 #include "algo/attacks.hpp"
 #include "algo/make_le.hpp"
 #include "sim/adversaries.hpp"
 #include "support/assert.hpp"
 
 namespace rts::algo {
+
+namespace {
+
+/// abortable-race, the abortable TAS baseline (arXiv:1805.04840 model): an
+/// aborted caller returns abort or lose, never wins after the signal, and a
+/// solo unaborted caller wins.  It is RatRacePath on an armed context, so
+/// the inner election unwinds right after the first op granted once a
+/// request is posted.  The request is read again after a normal return: a
+/// win that raced it is demoted (the demoted winner silences itself and
+/// never promotes anyone else), and without a request the inner outcome
+/// passes through unchanged.
+class AbortableRatRacePath final : public ILeaderElect<SimPlatform> {
+ public:
+  AbortableRatRacePath(SimPlatform::Arena arena, int n) : inner_(arena, n) {}
+
+  sim::Outcome elect(sim::Context& ctx) override {
+    if (ctx.abort_requested()) return sim::Outcome::kAbort;
+    ctx.unwind_on_abort();
+    try {
+      const sim::Outcome outcome = inner_.elect(ctx);
+      return ctx.abort_requested() ? sim::Outcome::kAbort : outcome;
+    } catch (const sim::AbortRequested&) {
+      return sim::Outcome::kAbort;
+    }
+  }
+
+  std::size_t declared_registers() const override {
+    return inner_.declared_registers();
+  }
+
+  void reset_trial_state() override { inner_.reset_trial_state(); }
+
+ private:
+  RatRacePath<SimPlatform> inner_;
+};
+
+}  // namespace
 
 const std::vector<AlgoInfo>& all_algorithms() {
   static const std::vector<AlgoInfo> kAlgorithms = {
@@ -165,7 +201,7 @@ std::unique_ptr<ILeaderElect<SimPlatform>> make_sim_le(AlgorithmId id,
                                                        int n) {
   if (!supports(id, exec::Backend::kSim)) return nullptr;  // hw-only
   if (id == AlgorithmId::kAbortableRace) {
-    return std::make_unique<AbortableRace<SimPlatform>>(arena, n);
+    return std::make_unique<AbortableRatRacePath>(arena, n);
   }
   return make_le<SimPlatform>(id, arena, n);
 }

@@ -777,12 +777,10 @@ int run_minimize(const CliArgs& args) {
       // winner-steps metric is not stored in the digest, so replay once.
       const sim::TrialTrace& trial = cell.trials[trial_index];
       sim::ReplayAdversary adversary(&trial.actions);
-      sim::Kernel::Options options;
-      if (cell.step_limit > 0) options.step_limit = cell.step_limit;
       const sim::LeRunResult replayed =
           sim::run_le_once(builder, static_cast<int>(cell.n),
                            static_cast<int>(cell.k), adversary,
-                           trial.trial_seed, options);
+                           trial.trial_seed, sim::replay_options(cell));
       const std::uint64_t metric = sim::hunt_metric(spec, replayed);
       if (metric == 0) {
         // E.g. winner-steps on a winnerless trial: a >=0 threshold would

@@ -79,7 +79,6 @@ void drive_hw_scheduled(algo::AlgorithmId id, const sim::CellTrace& cell,
   hw::HwPlatform::Arena arena(pool);
   const std::unique_ptr<algo::ILeaderElect<hw::HwPlatform>> le =
       hw::make_hw_le(id, arena, n);
-  RTS_ASSERT(le != nullptr);
 
   fiber::ExecutionContext driver;
   std::vector<HwParticipant> participants(static_cast<std::size_t>(k));
@@ -200,9 +199,7 @@ ConformanceReport check_cell(const sim::CellTrace& cell,
   RTS_REQUIRE(cell.k >= 1 && cell.k <= cell.n,
               "conformance: trace needs 1 <= k <= n");
   const sim::LeBuilder builder = algo::sim_builder(*id);
-  sim::Kernel::Options kernel_options;
-  if (cell.step_limit > 0) kernel_options.step_limit = cell.step_limit;
-  kernel_options.rmr_model = cell.rmr;
+  const sim::Kernel::Options kernel_options = sim::replay_options(cell);
   const bool hw_ok = options.hw && hw_expressible(cell);
 
   ConformanceReport report;

@@ -42,6 +42,25 @@ class DivergeHwLe final : public algo::ILeaderElect<HwPlatform> {
   HwPlatform::Reg reg_;
 };
 
+/// The hardware baseline behind algo::AlgorithmId::kNativeAtomic: one
+/// atomic exchange is a hardware TAS.  The bit is not a register-pool
+/// register, so the run reports 0 registers materialized.
+class NativeAtomicLe final : public algo::ILeaderElect<HwPlatform> {
+ public:
+  sim::Outcome elect(HwPlatform::Context& ctx) override {
+    const sim::Outcome outcome =
+        bit_.exchange(1, std::memory_order_seq_cst) == 0 ? sim::Outcome::kWin
+                                                         : sim::Outcome::kLose;
+    ctx.on_op();
+    return outcome;
+  }
+
+  std::size_t declared_registers() const override { return 1; }
+
+ private:
+  alignas(64) std::atomic<std::uint64_t> bit_{0};
+};
+
 }  // namespace
 
 std::unique_ptr<algo::ILeaderElect<HwPlatform>> make_hw_le(
@@ -51,7 +70,10 @@ std::unique_ptr<algo::ILeaderElect<HwPlatform>> make_hw_le(
   if (id == algo::AlgorithmId::kDivergeHw) {
     return std::make_unique<DivergeHwLe>(arena);
   }
-  return algo::make_le<HwPlatform>(id, arena, n);  // null: native atomic
+  if (id == algo::AlgorithmId::kNativeAtomic) {
+    return std::make_unique<NativeAtomicLe>();
+  }
+  return algo::make_le<HwPlatform>(id, arena, n);
 }
 
 exec::TrialSummary summarize_trial(const HwRunResult& result) {
@@ -215,16 +237,7 @@ void HwTrialPool::elect_once(int pid, const fault::ParticipantFault* fault) {
     std::this_thread::sleep_for(std::chrono::microseconds(fault->delay_us));
   }
   try {
-    if (le_ != nullptr) {
-      result_->outcomes[slot] = le_->elect(ctx);
-    } else {
-      // Native baseline: atomic exchange is a hardware TAS.
-      result_->outcomes[slot] =
-          native_bit_.exchange(1, std::memory_order_seq_cst) == 0
-              ? sim::Outcome::kWin
-              : sim::Outcome::kLose;
-      ctx.on_op();
-    }
+    result_->outcomes[slot] = le_->elect(ctx);
   } catch (const StepLimitReached&) {
     aborted_.fetch_add(1, std::memory_order_relaxed);  // outcome kUnknown
   } catch (const ElectionCancelled&) {
@@ -271,9 +284,8 @@ HwRunResult HwTrialPool::run(algo::AlgorithmId id, int n, std::uint64_t seed,
     HwPlatform::Arena arena(pool);
     std::unique_ptr<algo::ILeaderElect<HwPlatform>> le =
         make_hw_le(id, arena, n);
-    result.declared_registers = le != nullptr ? le->declared_registers() : 1;
+    result.declared_registers = le->declared_registers();
     le_ = le.get();
-    native_bit_.store(0, std::memory_order_relaxed);
     seed_ = attempt_seed;
     faults_ = chaos ? &faults : nullptr;
     aborted_.store(0, std::memory_order_relaxed);

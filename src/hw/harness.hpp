@@ -33,7 +33,6 @@
 namespace rts::hw {
 
 /// Constructs the algorithm for up to n processes on the hardware platform.
-/// Returns nullptr for kNativeAtomic (handled specially by the harness).
 /// Requires algo::supports(id, exec::Backend::kHw).
 std::unique_ptr<algo::ILeaderElect<HwPlatform>> make_hw_le(
     algo::AlgorithmId id, HwPlatform::Arena arena, int n);
@@ -180,8 +179,7 @@ class HwTrialPool {
   std::chrono::steady_clock::time_point end_{};
   // Per-attempt job state: written by run() before it bumps job_, read by
   // participants after waking on it.
-  algo::ILeaderElect<HwPlatform>* le_ = nullptr;  ///< null: native atomic
-  std::atomic<std::uint64_t> native_bit_{0};
+  algo::ILeaderElect<HwPlatform>* le_ = nullptr;
   std::uint64_t seed_ = 0;
   std::uint64_t step_limit_ = UINT64_MAX;
   HwRunResult* result_ = nullptr;  ///< participant pid writes slot pid

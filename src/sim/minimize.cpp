@@ -177,12 +177,10 @@ std::uint64_t schedule_step_budget(const std::vector<Action>& actions) {
 std::optional<LeRunResult> replay_schedule_prefix(
     const LeBuilder& builder, int n, int k,
     const std::vector<Action>& actions, std::uint64_t trial_seed,
-    rmr::RmrModel rmr_model) {
+    Kernel::Options options) {
   const std::uint64_t budget = schedule_step_budget(actions);
   if (budget == 0) return std::nullopt;  // a grant-free schedule is degenerate
-  Kernel::Options options;
   options.step_limit = budget;
-  options.rmr_model = rmr_model;
   ReplayAdversary adversary(&actions);
   try {
     return run_le_once(builder, n, k, adversary, trial_seed, options);
@@ -207,13 +205,12 @@ class CandidateEvaluator {
     ++evals_;
     const std::optional<LeRunResult> fresh = replay_schedule_prefix(
         *builder_, static_cast<int>(cell_->n), static_cast<int>(cell_->k),
-        actions, trial_->trial_seed, cell_->rmr);
+        actions, trial_->trial_seed, replay_options(*cell_));
     if (!fresh) return false;
     std::optional<LeRunResult> pooled;
     if (predicate_->needs_pooled) {
-      Kernel::Options options;
+      Kernel::Options options = replay_options(*cell_);
       options.step_limit = schedule_step_budget(actions);
-      options.rmr_model = cell_->rmr;
       ReplayAdversary adversary(&actions);
       try {
         pooled = workspace_.run_le_once(
@@ -300,14 +297,11 @@ MinimizeResult minimize_trial(const LeBuilder& builder, const CellTrace& cell,
   // corrupt or was recorded by different code; minimizing it would produce
   // a confidently-wrong artifact.
   {
-    Kernel::Options options;
-    if (cell.step_limit > 0) options.step_limit = cell.step_limit;
-    options.rmr_model = cell.rmr;
     ReplayAdversary adversary(&trial.actions);
     LeRunResult replayed;
     try {
       replayed = run_le_once(builder, n, k, adversary, trial.trial_seed,
-                             options);
+                             replay_options(cell));
     } catch (const Error& error) {
       throw Error(std::string("minimize: input trace does not replay: ") +
                   error.what());
@@ -345,7 +339,7 @@ MinimizeResult minimize_trial(const LeBuilder& builder, const CellTrace& cell,
   // budget -- the standard replay path then reproduces this exact run.
   const std::optional<LeRunResult> final_run =
       replay_schedule_prefix(builder, n, k, current, trial.trial_seed,
-                             cell.rmr);
+                             replay_options(cell));
   RTS_ASSERT_MSG(final_run.has_value(),
                  "minimize: adopted candidate stopped replaying");
   TrialTrace minimized;

@@ -144,13 +144,14 @@ bool predicate_family_thresholded(std::string_view family);
 std::uint64_t schedule_step_budget(const std::vector<Action>& actions);
 
 /// Replays `actions` as a schedule prefix for a trial of the cell's stream
-/// seeded with `trial_seed` (see the convention above), tallying RMRs under
-/// `rmr_model`.  Returns std::nullopt when the candidate is not a
-/// well-formed schedule for this trial: a grant or crash targeting a pid
-/// that is not runnable at that point, or a schedule with no grants at all.
+/// seeded with `trial_seed` (see the convention above), under `options`
+/// (the cell's replay_options) with the step limit replaced by the prefix
+/// budget.  Returns std::nullopt when the candidate is not a well-formed
+/// schedule for this trial: a grant or crash targeting a pid that is not
+/// runnable at that point, or a schedule with no grants at all.
 std::optional<LeRunResult> replay_schedule_prefix(
     const LeBuilder& builder, int n, int k, const std::vector<Action>& actions,
-    std::uint64_t trial_seed, rmr::RmrModel rmr_model = rmr::RmrModel::kNone);
+    std::uint64_t trial_seed, Kernel::Options options = {});
 
 struct MinimizeStats {
   std::size_t original_actions = 0;

@@ -29,6 +29,11 @@ namespace rts::sim {
 class Kernel;
 class SimProcess;
 
+/// Thrown out of an armed process's op (see Context::unwind_on_abort); the
+/// sim twin of hw::ElectionCancelled.  The abortable catalogue entry catches
+/// it and returns Outcome::kAbort.
+struct AbortRequested {};
+
 /// Handle through which algorithm code (running on a process fiber) talks to
 /// the simulation: shared-memory ops, randomness, stage publication.  One
 /// Context exists per fiber; all Contexts of a process share the process.
@@ -57,11 +62,17 @@ class Context {
   /// coins and the schedule anyway -- made cheap to query.
   void publish_stage(std::uint64_t tag);
 
-  /// True once the adversary has requested this process abort (abortable
-  /// algorithms poll this between operations and bail with Outcome::kAbort).
-  /// Local information, like a caller-side abort flag in the 1805.04840
-  /// model, so reading it is not a shared-memory operation.
+  /// True once the adversary has requested this process abort.  Local
+  /// information, like a caller-side abort flag in the 1805.04840 model, so
+  /// reading it is not a shared-memory operation.
   bool abort_requested() const;
+
+  /// Arms the process's abort check: from now on, an op whose result comes
+  /// back while an abort request is posted throws AbortRequested instead of
+  /// returning, before any algorithm code or coin flip runs.  The op itself
+  /// counts, step and RMR charge alike.  An unarmed process (every
+  /// non-abortable algorithm) ignores abort requests.  Cleared by rewind.
+  void unwind_on_abort();
 
   /// After each completed operation, yield to `parent` instead of continuing.
   /// Used by the combiner to interleave two sub-algorithms step by step.
@@ -127,6 +138,7 @@ class SimProcess {
   // before (at 272 bytes a fresh 1024-process kernel ran 25-35% slower).
   bool has_pending_ = false;
   bool abort_requested_ = false;
+  bool unwind_on_abort_ = false;
   std::function<void(Context&)> body_;
   std::unique_ptr<support::RandomSource> rng_;
   fiber::Fiber fiber_;

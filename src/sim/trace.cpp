@@ -179,6 +179,13 @@ std::string replay_mismatch(const TrialTrace& trace,
   return {};
 }
 
+Kernel::Options replay_options(const CellTrace& cell) {
+  Kernel::Options options;
+  if (cell.step_limit > 0) options.step_limit = cell.step_limit;
+  options.rmr_model = cell.rmr;
+  return options;
+}
+
 LeRunResult record_trial_trace(const LeBuilder& builder, int n, int k,
                                const AdversaryFactory& factory, int trial,
                                std::uint64_t seed0,

@@ -90,6 +90,11 @@ struct CellTrace {
   std::vector<TrialTrace> trials;
 };
 
+/// The kernel options a recorded cell's trials replay under: the header's
+/// step limit (when it is set) and its RMR model.  Every replay of a trace
+/// header starts from these, so none can drop the cell's charging model.
+Kernel::Options replay_options(const CellTrace& cell);
+
 /// FNV-1a over the per-pid (outcome, steps) sequence of a finished run; the
 /// compact stand-in for storing every participant's outcome.
 std::uint64_t outcome_digest(const LeRunResult& result);

@@ -342,6 +342,47 @@ TEST(Corpus, CheckedInCorpusConformsWithManifestClaims) {
   EXPECT_GE(families.size(), 2u);
 }
 
+TEST(Corpus, CliDefaultRmrThresholdReplaysUnderTheCellsModel) {
+  // With no threshold, `--pred rmr` keeps the recorded trial's own RMR
+  // tally.  The replay that reads it must charge under the cell's model:
+  // without it the tally reads 0 and the command refuses to minimize.
+  for (const char* name : {"rmr-abortable-race-abort-k8-cc-rmr.rtst",
+                           "rmr-abortable-race-abort-k8-dsm-rmr.rtst"}) {
+    const std::string dir = ::testing::TempDir() + "rts-min-rmr-" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string input = corpus_dir() + "/" + name;
+    std::vector<std::string> args = {"rts_bench", "--minimize", input,
+                                     "--pred",    "rmr",        "--out",
+                                     dir + "/min.rtst"};
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    const int code =
+        campaign::run_cli(static_cast<int>(args.size()), argv.data());
+    testing::internal::GetCapturedStdout();
+    const std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_EQ(code, 0) << name << ": " << err;
+
+    CellTrace recorded;
+    CellTrace minimized;
+    std::string error;
+    ASSERT_TRUE(read_cell_trace_file(input, &recorded, &error)) << error;
+    ASSERT_TRUE(read_cell_trace_file(dir + "/min.rtst", &minimized, &error))
+        << error;
+    ASSERT_EQ(minimized.trials.size(), 1u);
+    EXPECT_GE(minimized.trials[0].rmr_total, recorded.trials[0].rmr_total)
+        << name;
+    const exec::ConformanceReport report = exec::check_cell(minimized, {});
+    EXPECT_EQ(report.trials_checked, 1) << name;
+    EXPECT_TRUE(report.mismatches.empty()) << report.mismatches.front();
+    std::filesystem::remove_all(dir);
+  }
+}
+
 /// The death-test child: under a 2 GB address-space cap, runs --conform
 /// over `dir` and --minimize on `trace`.  Returns 0 only when conform
 /// counted one failure and minimize exited 1; each bit of a nonzero code

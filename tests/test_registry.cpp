@@ -70,16 +70,11 @@ TEST(Registry, HwCapabilityFlagsMatchTheHwFactory) {
   for (const AlgoInfo& algorithm : all_algorithms()) {
     if (!supports(algorithm.id, exec::Backend::kHw)) continue;
     // Construction plus an actual 2-thread election: a capability flag only
-    // counts if the factory's object really elects on hardware.  The native
-    // baseline's nullptr factory is the harness's documented special case.
+    // counts if the factory's object really elects on hardware.
     hw::RegisterPool pool;
     hw::HwPlatform::Arena arena(pool);
     const auto le = hw::make_hw_le(algorithm.id, arena, 4);
-    if (algorithm.id == AlgorithmId::kNativeAtomic) {
-      EXPECT_EQ(le, nullptr);
-    } else {
-      EXPECT_NE(le, nullptr) << algorithm.name;
-    }
+    EXPECT_NE(le, nullptr) << algorithm.name;
     hw::HwTrialPool elections(2);
     if (algorithm.diagnostic) {
       // Diagnostic entries never elect by design; run them under the

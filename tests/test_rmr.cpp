@@ -7,6 +7,7 @@
 // every pre-RMR campaign's output byte-stable.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -276,6 +277,81 @@ TEST(AbortableTas, SoloUnabortedParticipantWins) {
     EXPECT_EQ(result.aborted, 0) << "trial " << trial;
     EXPECT_TRUE(result.violations.empty()) << "trial " << trial;
   }
+}
+
+/// `count` grants to `pid`.
+std::vector<sim::Action> grants(int pid, std::size_t count) {
+  return std::vector<sim::Action>(count, sim::Action::step(pid));
+}
+
+/// Replays a hand-written schedule on n = 4 under the prefix step limit
+/// (its grant count), as the minimizer replays a candidate.  Grants left
+/// over once every process has finished are never consumed.
+std::optional<sim::LeRunResult> replay_hand_schedule(
+    algo::AlgorithmId algorithm, int k,
+    const std::vector<sim::Action>& actions) {
+  return sim::replay_schedule_prefix(algo::sim_builder(algorithm), /*n=*/4, k,
+                                     actions, sim::trial_seed(4840, 0));
+}
+
+TEST(AbortableTas, RequestBeforeTheLastGrantDemotesASoloWin) {
+  const auto solo = replay_hand_schedule(algo::AlgorithmId::kAbortableRace, 1,
+                                         grants(0, 10'000));
+  ASSERT_TRUE(solo.has_value());
+  ASSERT_EQ(solo->outcomes[0], sim::Outcome::kWin);
+  const std::uint64_t m = solo->steps[0];
+  ASSERT_GE(m, 2u);
+
+  // Posted before the m-th grant, the request takes effect right after that
+  // op: the op counts, and the win it completes is demoted.
+  std::vector<sim::Action> actions = grants(0, m - 1);
+  actions.push_back(sim::Action::abort_req(0));
+  actions.push_back(sim::Action::step(0));
+  const auto aborted =
+      replay_hand_schedule(algo::AlgorithmId::kAbortableRace, 1, actions);
+  ASSERT_TRUE(aborted.has_value());
+  EXPECT_EQ(aborted->outcomes[0], sim::Outcome::kAbort);
+  EXPECT_EQ(aborted->steps[0], m);
+  EXPECT_TRUE(aborted->completed);
+  EXPECT_TRUE(aborted->violations.empty()) << aborted->violations.front();
+}
+
+TEST(AbortableTas, RequestTakesEffectRightAfterTheNextGrantedOp) {
+  // Two grants to pid 0, a request for pid 0, one more grant to pid 0; then
+  // pid 1 runs alone to its finish.
+  std::vector<sim::Action> actions = grants(0, 2);
+  actions.push_back(sim::Action::abort_req(0));
+  actions.push_back(sim::Action::step(0));
+  std::vector<sim::Action> probe_actions = actions;
+  const std::vector<sim::Action> surplus = grants(1, 10'000);
+  probe_actions.insert(probe_actions.end(), surplus.begin(), surplus.end());
+  const auto probe = replay_hand_schedule(algo::AlgorithmId::kAbortableRace,
+                                          2, probe_actions);
+  ASSERT_TRUE(probe.has_value());
+  ASSERT_TRUE(probe->completed);
+  const std::vector<sim::Action> finish = grants(1, probe->steps[1]);
+  actions.insert(actions.end(), finish.begin(), finish.end());
+
+  const auto abortable =
+      replay_hand_schedule(algo::AlgorithmId::kAbortableRace, 2, actions);
+  ASSERT_TRUE(abortable.has_value());
+  EXPECT_EQ(abortable->outcomes[0], sim::Outcome::kAbort);
+  EXPECT_EQ(abortable->steps[0], 3u);
+  EXPECT_NE(abortable->outcomes[1], sim::Outcome::kUnknown);
+  EXPECT_TRUE(abortable->completed);
+  EXPECT_TRUE(abortable->violations.empty())
+      << abortable->violations.front();
+
+  // A non-abortable election ignores the request: after its third step
+  // pid 0 still has an op pending when the grants run out.
+  const auto plain =
+      replay_hand_schedule(algo::AlgorithmId::kRatRacePath, 2, actions);
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_EQ(plain->outcomes[0], sim::Outcome::kUnknown);
+  EXPECT_EQ(plain->steps[0], 3u);
+  EXPECT_FALSE(plain->completed);
+  EXPECT_EQ(plain->outcomes[1], abortable->outcomes[1]);
+  EXPECT_EQ(plain->steps[1], abortable->steps[1]);
 }
 
 TEST(TraceFormatV2, LegacyCellsKeepVersion1Bytes) {
