@@ -68,8 +68,9 @@ sim::Kernel::Options kernel_options_of(const campaign::CellSpec& cell) {
 }
 
 /// Block size for the batched path: one trial per block, as the campaign
-/// executor runs eligible cells.  Longer blocks run their trials one after
-/// another, so they only change how often the workspace cache refills.
+/// executor runs eligible cells (through run_le_trial_summary's machine
+/// streams).  Longer blocks run their trials one after another, so they
+/// only change how often the workspace cache refills.
 constexpr int kBatchLanes = 1;
 
 bool batch_eligible(const campaign::CellSpec& cell) {
@@ -116,9 +117,9 @@ void bm_pooled_trial(benchmark::State& state, const campaign::CellSpec& cell) {
 
 void bm_batched_trial(benchmark::State& state,
                       const campaign::CellSpec& cell) {
-  // The executor's actual batched path: block-cached summaries through the
-  // workspace, sequential trial access recomputing one block per
-  // kBatchLanes trials.
+  // The machines through the workspace's block cache, sequential trial
+  // access recomputing one block per kBatchLanes trials: the engine the
+  // executor's run_le_trial_summary picks for these cells.
   exec::TrialWorkspace workspace;
   const exec::BatchStreamFactory factory = [&cell] {
     return make_cell_batch_stream(cell);
@@ -208,9 +209,8 @@ CellThroughput measure_cell(const campaign::CellSpec& cell, int trials) {
       if (secs > 0.0) out.pooled_tps = std::max(out.pooled_tps, chunk / secs);
     }
     if (batch_eligible(cell)) {
-      // Same workspace object the scalar pooled pass used: the batch slot
-      // pool is disjoint from the stream pool, exactly as in an executor
-      // worker that mixes eligible and ineligible cells.
+      // Same workspace object the scalar pooled pass used: the block cache
+      // is disjoint from the stream pool, so one key serves both.
       const exec::BatchStreamFactory factory = [&cell] {
         return make_cell_batch_stream(cell);
       };

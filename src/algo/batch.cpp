@@ -593,7 +593,8 @@ class RatRacePathMachine final : public sim::BatchAlgorithm {
            static_cast<std::size_t>(n_) * 4 + 2;
   }
 
-  /// Whether pid has won any splitter this trial -- the combiner's rule-3
+  /// Whether pid is committed to RatRace this trial (stopped at a tree
+  /// splitter or entered an elimination path) -- the combiner's rule-3
   /// input, exactly RatRacePath::won_splitter.
   bool won_splitter(int pid) const {
     return st_[static_cast<std::size_t>(pid)].won != 0;
@@ -621,9 +622,11 @@ class RatRacePathMachine final : public sim::BatchAlgorithm {
           return enter_le3(s, s.node_id, /*role=*/0);
         }
         if (s.depth == height_) {
-          // Fell off leaf j: enter the leaf group's elimination path.
+          // Fell off leaf j: enter the leaf group's elimination path, which
+          // commits pid to RatRace (RatRacePath::won_splitter).
           const std::uint64_t leaf_index = s.node_id - (1ULL << height_);
           s.path_index = static_cast<std::uint32_t>(leaf_index / group_size_);
+          s.won = 1;
           s.phase = Phase::kPath;
           s.t = 0;
           return announce(
@@ -684,7 +687,6 @@ class RatRacePathMachine final : public sim::BatchAlgorithm {
               s.leaf, path_node(s.path_index, s.t) + 2, 1));
         }
         // Path winner: re-enter the tree at leaf `path_index` with role 1.
-        s.won = 1;
         const std::uint64_t leaf_id = (1ULL << height_) + s.path_index;
         return enter_le3(s, leaf_id, /*role=*/1);
       }
@@ -711,7 +713,6 @@ class RatRacePathMachine final : public sim::BatchAlgorithm {
           --s.t;
           return announce(le2_begin(s.leaf, backup_node(s.t) + 2, 1));
         }
-        s.won = 1;
         return enter_top(s, /*side=*/1);  // backup winner plays side 1
       }
       default: {  // Phase::kTop
@@ -869,7 +870,8 @@ class CombinedMachine final : public sim::BatchAlgorithm {
       if (s.out[0] == Outcome::kLose) {
         return BatchAction::finish(Outcome::kLose);
       }
-      // Rule 3: losing A loses only without a splitter win in RatRace.
+      // Rule 3: losing A loses only while uncommitted to RatRace; entering
+      // an elimination path commits too (see CombinedLe).
       if (s.out[1] == Outcome::kLose && !s.a_abandoned) {
         if (!rr_.won_splitter(pid)) {
           return BatchAction::finish(Outcome::kLose);
@@ -927,8 +929,10 @@ std::unique_ptr<sim::BatchAlgorithm> make_cascade(int k, std::uint32_t base,
   return std::make_unique<CascadeMachine>(k, base, n);
 }
 
-std::unique_ptr<sim::BatchAlgorithm> make_machine(AlgorithmId id, int k,
-                                                  int n) {
+}  // namespace
+
+std::unique_ptr<sim::BatchAlgorithm> make_machine(AlgorithmId id, int n,
+                                                  int k) {
   switch (id) {
     case AlgorithmId::kLogStarChain:
       return make_logstar(k, 0, n);
@@ -947,10 +951,8 @@ std::unique_ptr<sim::BatchAlgorithm> make_machine(AlgorithmId id, int k,
   }
 }
 
-}  // namespace
-
 bool batch_supported(AlgorithmId id) {
-  return make_machine(id, 1, 2) != nullptr;
+  return make_machine(id, 2, 1) != nullptr;
 }
 
 bool batch_schedulable(AdversaryId id) {
@@ -963,7 +965,7 @@ std::unique_ptr<sim::BatchStream> make_batch_stream(
     AlgorithmId algorithm, AdversaryId adversary, int n, int k, int lanes,
     std::uint64_t seed0, std::uint64_t step_limit) {
   if (!batch_schedulable(adversary)) return nullptr;
-  auto machine = make_machine(algorithm, k, n);
+  auto machine = make_machine(algorithm, n, k);
   if (machine == nullptr) return nullptr;
   sim::BatchConfig config;
   config.n = n;

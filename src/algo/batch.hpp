@@ -16,9 +16,12 @@
 //     something the machines lack.  random, roundrobin, sequential, crash
 //     and abort qualify; the adaptive attack-ge and trace replay do not.
 //
-// The campaign executor runs every eligible cell on these machines by
-// default.  make_batch_stream() returns nullptr for any ineligible pair;
-// callers fall back to the fiber kernel (the executor does exactly that).
+// sim_builder hands each machine to exec::TrialWorkspace through
+// sim::LeBuilder::machine, and the workspace's run_le_trial_summary -- the
+// campaign executor's sim path -- runs every eligible trial on it.
+// make_batch_stream() builds the longer-block streams of
+// TrialWorkspace::run_le_batch_trial and returns nullptr for any ineligible
+// pair.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +31,12 @@
 #include "sim/batch.hpp"
 
 namespace rts::algo {
+
+/// The batch machine of `id` for `n` processes with `k` participants, or
+/// nullptr when `id` has none.  sim_builder fills sim::LeBuilder::machine
+/// with it.
+std::unique_ptr<sim::BatchAlgorithm> make_machine(AlgorithmId id, int n,
+                                                  int k);
 
 /// Whether `id` has a batch machine.
 bool batch_supported(AlgorithmId id);

@@ -16,6 +16,16 @@
 //      each other across the two structures and nobody wins -- the
 //      regression test combined.Rule3 demonstrates this.)
 //
+// Rule 3 on RatRacePath needs more than the paper's wording.  A splitter on
+// an elimination path eliminates: an entrant that finds its door closed goes
+// Left and loses RatRace.  So a path entrant that closed a door, or stopped
+// and is still climbing, may already have sent another process out of
+// RatRace by rule 2 while that process was ahead in A; if it then lost A and
+// left, nobody would win (seen at k=2 under the random scheduler, about 0.4%
+// of trials).  A process therefore counts as having won a splitter -- as
+// committed to RatRace -- from the moment it enters an elimination path
+// (RatRacePath::won_splitter).
+//
 // Step interleaving runs each sub-algorithm on its own child fiber: after a
 // child completes one shared-memory operation it yields back to the
 // coordinator, which resumes the other child.  From the kernel's (or
@@ -114,7 +124,8 @@ class CombinedLe final : public ILeaderElect<P> {
       if (a_out == Outcome::kWin) return play_top(ctx, 1);
       // Rule 2: losing RatRace loses outright.
       if (rr_out == Outcome::kLose) return Outcome::kLose;
-      // Rule 3: losing A loses only without a splitter win in RatRace.
+      // Rule 3: losing A loses only while uncommitted to RatRace (no
+      // splitter won and no elimination path entered; see above).
       if (a_out == Outcome::kLose && !a_abandoned) {
         if (!ratrace_.won_splitter(ctx.pid())) return Outcome::kLose;
         a_abandoned = true;

@@ -300,6 +300,11 @@ class RatRacePath final : public ILeaderElect<P> {
     }
 
     // Fell off leaf `leaf_index`: enter the leaf group's elimination path.
+    // An elimination-path splitter eliminates (an entrant that finds its
+    // door closed goes Left and loses), so from here on this process may
+    // have knocked others out and counts as committed to RatRace (see
+    // won_splitter).
+    mark_splitter_win(ctx);
     const std::uint64_t path_index = leaf_index / group_size_;
     ctx.publish_stage(stage::make(
         stage::kPath, static_cast<std::uint32_t>(path_index)));
@@ -309,7 +314,6 @@ class RatRacePath final : public ILeaderElect<P> {
       case ChainOutcome::kWin: {
         // Path winner re-enters the tree at leaf `path_index` (role 1 of the
         // leaf's LE3) and climbs to the root.
-        mark_splitter_win(ctx);
         const std::uint64_t leaf_id = (1ULL << height_) + path_index;
         if (tree_.climb(ctx, leaf_id, 1) == sim::Outcome::kLose) {
           return sim::Outcome::kLose;
@@ -325,7 +329,6 @@ class RatRacePath final : public ILeaderElect<P> {
       case ChainOutcome::kLose:
         return sim::Outcome::kLose;
       case ChainOutcome::kWin:
-        mark_splitter_win(ctx);
         return play_top(ctx, 1);
       case ChainOutcome::kForward:
         RTS_ASSERT_MSG(false,
@@ -334,6 +337,11 @@ class RatRacePath final : public ILeaderElect<P> {
     return sim::Outcome::kLose;  // unreachable
   }
 
+  /// Whether pid is committed to RatRace, the combiner's rule-3 input
+  /// (algo/combined.hpp): it stopped at a tree splitter, or it entered an
+  /// elimination path.  The second is more than the paper's "won a
+  /// splitter": a path entrant may already have sent another entrant Left,
+  /// out of RatRace, so it must not leave too.
   bool won_splitter(int pid) const {
     return won_splitter_[static_cast<std::size_t>(pid)] != 0;
   }

@@ -1,6 +1,7 @@
 #include "algo/registry.hpp"
 
 #include "algo/attacks.hpp"
+#include "algo/batch.hpp"
 #include "algo/make_le.hpp"
 #include "sim/adversaries.hpp"
 #include "support/assert.hpp"
@@ -209,7 +210,7 @@ std::unique_ptr<ILeaderElect<SimPlatform>> make_sim_le(AlgorithmId id,
 sim::LeBuilder sim_builder(AlgorithmId id) {
   RTS_REQUIRE(supports(id, exec::Backend::kSim),
               "algorithm has no simulator backend");
-  return [id](sim::Kernel& kernel, int n) -> sim::BuiltLe {
+  sim::LeBuilder builder = [id](sim::Kernel& kernel, int n) -> sim::BuiltLe {
     SimPlatform::Arena arena(kernel.memory());
     std::shared_ptr<ILeaderElect<SimPlatform>> le =
         make_sim_le(id, arena, n);
@@ -221,6 +222,10 @@ sim::LeBuilder sim_builder(AlgorithmId id) {
     built.reset = [le] { le->reset_trial_state(); };
     return built;
   };
+  if (batch_supported(id)) {
+    builder.machine = [id](int n, int k) { return make_machine(id, n, k); };
+  }
+  return builder;
 }
 
 }  // namespace rts::algo

@@ -102,7 +102,9 @@ std::optional<AdversaryId> parse_adversary(std::string_view name);
 sim::AdversaryFactory adversary_factory(AdversaryId id);
 
 /// Builds the algorithm as a leader-election object for up to n processes
-/// inside the given simulator kernel.  Requires supports(id, Backend::kSim).
+/// inside the given simulator kernel, and carries its batch machine
+/// (algo/batch.hpp) for logstar, sift, cascade, ratrace-path,
+/// combined-logstar and combined-sift.  Requires supports(id, Backend::kSim).
 sim::LeBuilder sim_builder(AlgorithmId id);
 
 /// Constructs the algorithm directly (shared by sim_builder and by code that

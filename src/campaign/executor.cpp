@@ -235,8 +235,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   // Per-cell trial runners, built once and shared read-only by all workers.
   // Sim cells drive trials through the calling worker's pooled
   // exec::TrialWorkspace (keyed by cell index), so the kernel, fibers, and
-  // register layout -- or the cell's batch stream -- are built once per
-  // (worker, cell) and rewound between trials instead of reconstructed.
+  // register layout -- or the cell's step-machine stream -- are built once
+  // per (worker, cell) and rewound between trials instead of reconstructed.
   // Hardware cells take the shared hw mutex so at most one hw election --
   // with its k real threads -- is in flight at a time, keeping measured
   // thread counts honest while sim cells keep running concurrently; the
@@ -357,19 +357,13 @@ CampaignResult run_campaign(const CampaignSpec& spec,
           });
       continue;
     }
-    // Step-machine engine, the default for every eligible cell: trials run
-    // through the worker's pooled batch stream, with no fibers, one trial
-    // per block unless sim_batch_lanes asks for longer blocks.  Eligibility
-    // is read from the catalogue (a batch machine, and a seedable,
-    // oblivious-class adversary; see algo/batch.hpp) and requires the
-    // RMR-free memory path; record/replay runs were dispatched above.
-    // Machine summaries are bitwise-identical to the fiber kernel's, so
-    // this branch can never change campaign bytes.
-    if (cell.rmr == rmr::RmrModel::kNone &&
+    // Longer machine blocks (sim_batch_lanes > 1) for an eligible cell: a
+    // batch machine, a seedable oblivious-class adversary (algo/batch.hpp)
+    // and no armed RMR model.
+    if (options.sim_batch_lanes > 1 && cell.rmr == rmr::RmrModel::kNone &&
         algo::batch_supported(cell.algorithm) &&
         algo::batch_schedulable(cell.adversary)) {
-      const int lanes = std::clamp(options.sim_batch_lanes, 1,
-                                   sim::kMaxBatchLanes);
+      const int lanes = std::min(options.sim_batch_lanes, sim::kMaxBatchLanes);
       runners.push_back([cell, lanes](exec::TrialWorkspace& workspace,
                                       int trial) {
         return workspace.run_le_batch_trial(
@@ -383,14 +377,15 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       });
       continue;
     }
+    // The default: the workspace picks the engine (the step machines for
+    // every eligible cell, the fiber kernel for the rest) and folds the
+    // trial straight into its TrialSummary.
     runners.push_back(
         [builder = std::move(builder), adversary = std::move(adversary),
          cell](exec::TrialWorkspace& workspace, int trial) {
           sim::Kernel::Options kernel_options;
           kernel_options.step_limit = cell.step_limit;
           kernel_options.rmr_model = cell.rmr;
-          // Direct-to-summary: folds kernel state straight into the
-          // TrialSummary, skipping LeRunResult's per-trial vectors.
           return workspace.run_le_trial_summary(
               static_cast<std::uint64_t>(cell.index), builder, cell.n, cell.k,
               adversary, trial, cell.seed0, kernel_options);

@@ -105,16 +105,16 @@ struct ExecutorOptions {
   /// checkpoint_dir was set: completed sim cells land here so the campaign
   /// is resumable even if checkpointing wasn't requested up front.
   std::string interrupt_checkpoint_dir;
-  /// Block size of the step-machine engine (sim/batch.hpp), which runs
-  /// every *eligible* sim cell: the algorithm needs a batch machine, the
-  /// adversary must be a seedable, oblivious-class scheduler, and no RMR
-  /// model may be armed (see algo/batch.hpp); ineligible cells, record,
-  /// and replay runs keep the fiber kernel.  A block is the run of trials
-  /// one engine call computes, one after another, and the worker caches.
-  /// 0, the default, means one trial per block; > 0 means this many
-  /// (clamped to sim::kMaxBatchLanes).  Machine summaries are
-  /// bitwise-identical to the fiber kernel's (CI-gated), so this knob can
-  /// never change results.
+  /// Block size of the step-machine engine (sim/batch.hpp).  Every sim
+  /// cell that neither records nor replays runs through
+  /// exec::TrialWorkspace::run_le_trial_summary, which puts each eligible
+  /// trial on the machines one at a time (a batch machine, an
+  /// oblivious-class adversary, no armed RMR model) and the rest on the
+  /// fiber kernel.  Only a value above 1 matters: an eligible cell then
+  /// runs blocks of this many trials (clamped to sim::kMaxBatchLanes)
+  /// through run_le_batch_trial, one after another, and the worker caches
+  /// the block.  Machine summaries are bitwise-identical to the fiber
+  /// kernel's (CI-gated), so this knob can never change results.
   int sim_batch_lanes = 0;
 };
 

@@ -25,26 +25,13 @@ bool same_options(const sim::Kernel::Options& a, const sim::Kernel::Options& b) 
 
 }  // namespace
 
-TrialWorkspace::Stream& TrialWorkspace::prepare(
-    std::uint64_t key, const sim::LeBuilder& builder, int n, int k,
-    sim::Kernel::Options kernel_options) {
+TrialWorkspace::Stream& TrialWorkspace::entry(std::uint64_t key) {
   for (auto& stream : streams_) {
-    if (stream->key != key) continue;
-    if (stream->n == n && stream->k == k &&
-        same_options(stream->kernel_options, kernel_options)) {
+    if (stream->key == key) {
       stream->last_used = ++clock_;
       return *stream;
     }
-    // Same key, different configuration: the caller recycled a key (legal
-    // but unusual); rebuild in place.
-    stream->n = n;
-    stream->k = k;
-    stream->kernel_options = kernel_options;
-    build(*stream, builder);
-    stream->last_used = ++clock_;
-    return *stream;
   }
-
   if (streams_.size() >= options_.max_prepared && !streams_.empty()) {
     std::size_t victim = 0;
     for (std::size_t i = 1; i < streams_.size(); ++i) {
@@ -54,39 +41,59 @@ TrialWorkspace::Stream& TrialWorkspace::prepare(
     // process-wide pool, where the replacement stream's build reclaims them.
     streams_.erase(streams_.begin() + static_cast<std::ptrdiff_t>(victim));
   }
-
   auto stream = std::make_unique<Stream>();
   stream->key = key;
-  stream->n = n;
-  stream->k = k;
-  stream->kernel_options = kernel_options;
-  build(*stream, builder);
   stream->last_used = ++clock_;
   streams_.push_back(std::move(stream));
   return *streams_.back();
 }
 
-void TrialWorkspace::build(Stream& stream, const sim::LeBuilder& builder) {
+bool TrialWorkspace::Stream::shaped(
+    int want_n, int want_k, const sim::Kernel::Options& want_options) const {
+  return n == want_n && k == want_k &&
+         same_options(kernel_options, want_options);
+}
+
+TrialWorkspace::Stream& TrialWorkspace::prepare(
+    std::uint64_t key, const sim::LeBuilder& builder, int n, int k,
+    sim::Kernel::Options kernel_options) {
+  Stream& stream = entry(key);
+  // A new key, a machine stream, or a recycled key with a new configuration
+  // (legal but unusual): (re)build in place.
+  if (stream.kernel == nullptr || !stream.shaped(n, k, kernel_options)) {
+    build(stream, builder, n, k, kernel_options);
+  }
+  return stream;
+}
+
+void TrialWorkspace::build(Stream& stream, const sim::LeBuilder& builder,
+                           int n, int k, sim::Kernel::Options kernel_options) {
   ++stream_builds_;
-  stream.kernel = std::make_unique<sim::Kernel>(stream.kernel_options);
-  stream.built = builder(*stream.kernel, stream.n);
-  stream.outcomes.assign(static_cast<std::size_t>(stream.k),
-                         sim::Outcome::kUnknown);
-  stream.rngs.clear();
-  stream.rngs.reserve(static_cast<std::size_t>(stream.k));
+  stream.kernel.reset();
+  stream.machine.reset();
   stream.adversary.reset();  // a reshaped stream may mean a new scheduler
+  // Installed only once whole, so a throwing build leaves no half-built
+  // stream behind for the key's next trial.
+  auto kernel = std::make_unique<sim::Kernel>(kernel_options);
+  stream.built = builder(*kernel, n);
+  stream.outcomes.assign(static_cast<std::size_t>(k), sim::Outcome::kUnknown);
+  stream.rngs.clear();
+  stream.rngs.reserve(static_cast<std::size_t>(k));
   Stream* slots = &stream;  // stable: streams_ stores unique_ptrs
-  for (int pid = 0; pid < stream.k; ++pid) {
+  for (int pid = 0; pid < k; ++pid) {
     auto rng = std::make_unique<support::PrngSource>(0);
     stream.rngs.push_back(rng.get());
-    stream.kernel->add_process(
+    kernel->add_process(
         [slots, pid](sim::Context& ctx) {
           slots->outcomes[static_cast<std::size_t>(pid)] =
               slots->built.elect(ctx);
         },
-        std::move(rng),
-        fiber::acquire_stack(kWorkspaceStackBytes));
+        std::move(rng), fiber::acquire_stack(kWorkspaceStackBytes));
   }
+  stream.kernel = std::move(kernel);
+  stream.n = n;
+  stream.k = k;
+  stream.kernel_options = kernel_options;
   stream.fresh = true;
 }
 
@@ -158,7 +165,61 @@ TrialSummary TrialWorkspace::run_le_trial_summary(
     sim::Kernel::Options kernel_options) {
   RTS_REQUIRE(k >= 1 && k <= n, "need 1 <= k <= n participants");
   const std::uint64_t seed = sim::trial_seed(seed0, trial);
-  Stream& stream = prepare(key, builder, n, k, kernel_options);
+  Stream& stream = entry(key);
+  const bool current =
+      stream.shaped(n, k, kernel_options) &&
+      (stream.machine != nullptr ? stream.seed0 == seed0
+                                 : stream.kernel != nullptr);
+  if (!current) {
+    // The engine choice, made once per stream and before anything of the
+    // fiber path is built: the step machines run the trial when the
+    // algorithm has one, no RMR model is armed (the machines charge none),
+    // and the scheduler is oblivious-class (the engine's kernel-less view
+    // refuses adaptive access).  Either engine gives the same bytes.
+    std::unique_ptr<sim::Adversary> adversary;
+    std::unique_ptr<sim::BatchAlgorithm> machine;
+    if (builder.machine && kernel_options.rmr_model == rmr::RmrModel::kNone) {
+      adversary = factory(sim::adversary_seed(seed));
+      ++adversary_builds_;
+      if (adversary->clazz() == sim::AdversaryClass::kOblivious) {
+        machine = builder.machine(n, k);
+      }
+    }
+    if (machine != nullptr) {
+      ++stream_builds_;
+      stream.kernel.reset();
+      stream.built = sim::BuiltLe{};
+      stream.adversary.reset();
+      sim::BatchConfig config;
+      config.n = n;
+      config.k = k;
+      config.lanes = 1;
+      config.seed0 = seed0;
+      config.step_limit = kernel_options.step_limit;
+      // The engine starts from the adversary built above and pools it as a
+      // fiber stream does; a rebuild it needs still counts here.
+      stream.machine = sim::make_batch_stream(
+          std::move(machine),
+          [this, factory](std::uint64_t adversary_seed) {
+            ++adversary_builds_;
+            return factory(adversary_seed);
+          },
+          config, std::move(adversary));
+      stream.n = n;
+      stream.k = k;
+      stream.kernel_options = kernel_options;
+      stream.seed0 = seed0;
+    } else {
+      build(stream, builder, n, k, kernel_options);
+      stream.adversary = std::move(adversary);  // reseeded below
+    }
+  }
+  if (stream.machine != nullptr) {
+    TrialSummary summary;
+    stream.machine->run_block(trial, 1, &summary);
+    ++trials_run_;
+    return summary;
+  }
   sim::Adversary& adversary =
       trial_adversary(stream, factory, sim::adversary_seed(seed));
   const bool completed = drive_stream(stream, adversary, seed);

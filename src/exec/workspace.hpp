@@ -1,5 +1,7 @@
 // Pooled per-worker trial state: the zero-allocation hot path under every
-// campaign worker lane and sim::run_le_many.
+// campaign worker lane and sim::run_le_many.  It also chooses the engine:
+// run_le_trial_summary runs each eligible trial on the fiberless step
+// machines (sim/batch.hpp) and every other one on the fiber kernel.
 //
 // The fresh-kernel path (sim::run_le_once) pays, per trial: a Kernel, one
 // guarded mmap stack + fiber + heap-allocated SimProcess and PrngSource per
@@ -26,13 +28,20 @@
 // A workspace is strictly single-threaded: one per worker lane, never
 // shared.  Streams are keyed by a caller-chosen id (the campaign executor
 // uses the cell index); keys must denote one fixed (builder, n, k, kernel
-// options) configuration -- and, for run_le_trial, one fixed adversary
-// factory: the stream pools its adversary object too, reseeding it between
-// trials (sim::Adversary::reseed) instead of reallocating, so feeding one
-// key trials from different factories would silently reseed the wrong
-// scheduler.  Use distinct keys per (cell, adversary) stream, as the
-// executor does.  A bounded LRU of prepared streams caps the fibers and
-// registers a worker holds across cells.
+// options) configuration -- and, for run_le_trial and run_le_trial_summary,
+// one fixed adversary factory: the stream pools its adversary object too,
+// reseeding it between trials (sim::Adversary::reseed) instead of
+// reallocating, so feeding one key trials from different factories would
+// silently reseed the wrong scheduler.  Use distinct keys per (cell,
+// adversary) stream, as the executor does.  A key's stream is a fiber
+// stream (a rewound kernel) or, when run_le_trial_summary chose the step
+// machines for it, a machine stream (a one-trial sim::BatchStream, which
+// also fixes the key's seed0).  A recycled key with a new (n, k, kernel
+// options) -- or, on a machine stream, a new seed0 -- rebuilds its stream,
+// and a fiber-only call on a machine stream's key rebuilds it on fibers.
+// One bounded LRU of prepared streams, of both kinds, caps the fibers,
+// machines and registers a worker holds across cells.  run_le_batch_trial's
+// block streams live apart from these, so one key may serve both.
 #pragma once
 
 #include <cstdint>
@@ -82,12 +91,15 @@ class TrialWorkspace {
                                 int trial, std::uint64_t seed0,
                                 sim::Kernel::Options kernel_options = {});
 
-  /// Direct-to-summary form of run_le_trial: same stream, same trial, but
-  /// the kernel state folds straight into the TrialSummary
-  /// (sim::summarize_le_trial) without materializing LeRunResult's per-pid
-  /// vectors -- byte-identical to summarize_trial(run_le_trial(...)) with
-  /// zero per-trial allocation.  The campaign executor's sim path runs on
-  /// this.
+  /// Direct-to-summary form of run_le_trial, byte-identical to
+  /// summarize_trial(run_le_trial(...)) with zero per-trial allocation; the
+  /// campaign executor's sim path runs on this.  The engine is chosen once
+  /// per stream, before anything is built: when `builder` carries a machine
+  /// (sim::LeBuilder::machine), `kernel_options` arm no RMR model and the
+  /// pooled adversary is oblivious-class, the trial runs on a one-trial
+  /// step-machine stream (no kernel, no fibers, no stacks).  Otherwise the
+  /// kernel state of a fiber stream folds straight into the TrialSummary
+  /// (sim::summarize_le_trial).
   TrialSummary run_le_trial_summary(std::uint64_t key,
                                     const sim::LeBuilder& builder, int n,
                                     int k,
@@ -108,7 +120,9 @@ class TrialWorkspace {
                                   const BatchStreamFactory& factory,
                                   int lanes, int trial, int cell_trials);
 
-  /// Observability for tests and benches.
+  /// Observability for tests and benches.  Fiber and machine streams both
+  /// count in prepared_streams(), trials_run(), stream_builds() and
+  /// adversary_builds().
   std::size_t prepared_streams() const { return streams_.size(); }
   std::uint64_t trials_run() const { return trials_run_; }
   /// Batched trials served and blocks actually computed;
@@ -117,13 +131,15 @@ class TrialWorkspace {
   std::uint64_t batch_trials_run() const { return batch_trials_run_; }
   std::uint64_t batch_blocks_run() const { return batch_blocks_run_; }
   /// Stream (re)builds so far; `trials_run() - stream_builds()` trials ran
-  /// allocation-free through a rewound kernel.
+  /// allocation-free through a rewound kernel or a reused machine stream.
   std::uint64_t stream_builds() const { return stream_builds_; }
   /// Adversary allocations so far; stays at one per stream while every
   /// pooled adversary keeps reseeding successfully.
   std::uint64_t adversary_builds() const { return adversary_builds_; }
 
  private:
+  /// One key's stream: a fiber stream (`kernel` set) or a machine stream
+  /// (`machine` set); an entry with neither is not built yet.
   struct Stream {
     std::uint64_t key = 0;
     int n = 0;
@@ -134,8 +150,15 @@ class TrialWorkspace {
     std::vector<sim::Outcome> outcomes;        // written by process bodies
     std::vector<support::PrngSource*> rngs;    // owned by kernel processes
     std::unique_ptr<sim::Adversary> adversary;  // pooled, reseeded per trial
+    /// The step-machine engine, which pools its own adversary; its trial
+    /// seeds come from `seed0`.
+    std::unique_ptr<sim::BatchStream> machine;
+    std::uint64_t seed0 = 0;
     std::uint64_t last_used = 0;
     bool fresh = true;  // no trial run since (re)build: skip the rewind
+
+    bool shaped(int want_n, int want_k,
+                const sim::Kernel::Options& want_options) const;
   };
 
   /// One cell's pooled batch stream plus its most recent block of
@@ -150,9 +173,14 @@ class TrialWorkspace {
     std::uint64_t last_used = 0;
   };
 
+  /// The key's stream entry, marked used; a new key gets an empty entry,
+  /// evicting the least recently used stream beyond max_prepared.
+  Stream& entry(std::uint64_t key);
+  /// The key's fiber stream for (builder, n, k, kernel_options).
   Stream& prepare(std::uint64_t key, const sim::LeBuilder& builder, int n,
                   int k, sim::Kernel::Options kernel_options);
-  void build(Stream& stream, const sim::LeBuilder& builder);
+  void build(Stream& stream, const sim::LeBuilder& builder, int n, int k,
+             sim::Kernel::Options kernel_options);
   sim::LeRunResult run_on_stream(Stream& stream, sim::Adversary& adversary,
                                  std::uint64_t seed);
   /// Rewinds + reseeds `stream` for `seed` and runs it; shared prologue of

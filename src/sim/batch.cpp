@@ -14,10 +14,12 @@ namespace {
 class BatchEngine final : public BatchStream {
  public:
   BatchEngine(std::unique_ptr<BatchAlgorithm> algorithm,
-              AdversaryFactory adversary, BatchConfig config)
+              AdversaryFactory adversary, BatchConfig config,
+              std::unique_ptr<Adversary> pooled)
       : cfg_(config),
         algo_(std::move(algorithm)),
-        make_adversary_(std::move(adversary)) {
+        make_adversary_(std::move(adversary)),
+        adversary_(std::move(pooled)) {
     RTS_REQUIRE(algo_ != nullptr, "batch engine requires a machine");
     RTS_REQUIRE(make_adversary_ != nullptr,
                 "batch engine requires an adversary factory");
@@ -66,9 +68,9 @@ class BatchEngine final : public BatchStream {
     // The pooled-adversary step of TrialWorkspace::trial_adversary.
     if (adversary_ == nullptr || !adversary_->reseed(scheduler_seed)) {
       adversary_ = make_adversary_(scheduler_seed);
-      RTS_REQUIRE(adversary_->clazz() == AdversaryClass::kOblivious,
-                  "the step-machine engine serves oblivious adversaries only");
     }
+    RTS_REQUIRE(adversary_->clazz() == AdversaryClass::kOblivious,
+                "the step-machine engine serves oblivious adversaries only");
     rewind();
     // Kernel::start(): every prologue runs to its first announcement, in
     // pid order, so the runnable set fills in ascending order.
@@ -189,9 +191,10 @@ class BatchEngine final : public BatchStream {
 
 std::unique_ptr<BatchStream> make_batch_stream(
     std::unique_ptr<BatchAlgorithm> algorithm, AdversaryFactory adversary,
-    const BatchConfig& config) {
+    const BatchConfig& config, std::unique_ptr<Adversary> pooled) {
   return std::make_unique<BatchEngine>(std::move(algorithm),
-                                       std::move(adversary), config);
+                                       std::move(adversary), config,
+                                       std::move(pooled));
 }
 
 }  // namespace rts::sim

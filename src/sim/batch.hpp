@@ -2,9 +2,11 @@
 //
 // The fiber kernel (sim::Kernel + fibers) pays a fiber round-trip per step.
 // This engine removes it: algorithms run as explicit state machines, one per
-// pid, and register values live in a flat bank.  The campaign executor runs
-// every eligible cell here.  Everything else is the kernel's own: the
-// pid-ordered runnable set (sim/runnable_set.hpp), the catalogue's
+// pid, and register values live in a flat bank.  exec::TrialWorkspace picks
+// the engine: run_le_trial_summary, the call under every campaign sim cell,
+// runs each eligible trial on a pooled one-trial stream of this engine, and
+// run_le_batch_trial runs longer blocks.  Everything else is the kernel's
+// own: the pid-ordered runnable set (sim/runnable_set.hpp), the catalogue's
 // sim::Adversary objects, asked for every decision through a kernel-less
 // KernelView, and the trial fold (sim::fold_le_trial).  A block of trials
 // runs one trial after another.
@@ -13,9 +15,9 @@
 // CI batch-invariance job): for every *eligible* cell the engine reproduces
 // the scalar path's exec::TrialSummary byte for byte, trial for trial --
 // the same discipline that keeps fresh and pooled kernels interchangeable.
-// Eligibility is decided by the algo catalogue (algo/batch.hpp): the
-// algorithm must have a machine, and the adversary must be a seedable,
-// oblivious-class scheduler.  An oblivious view shows no pending op, so
+// Eligibility: the algorithm must have a machine (sim::LeBuilder::machine,
+// filled from algo/batch.hpp), no RMR model may be armed, and the adversary
+// must be oblivious-class.  An oblivious view shows no pending op, so
 // such a scheduler decides from exactly what the engine has: the runnable
 // set and the step counts.  The engine handles its steps, crashes and abort
 // requests as Kernel::run does, and each machine replicates its algorithm's
@@ -113,9 +115,12 @@ inline constexpr int kMaxBatchLanes = 64;
 
 /// Builds the engine for a machine, the cell's adversary factory, and a
 /// config.  The factory must build oblivious-class adversaries.  `count`
-/// per block must be <= min(lanes, 64).
+/// per block must be <= min(lanes, 64).  `pooled`, when given, is the
+/// engine's first pooled adversary (built by the same factory; the engine
+/// reseeds it before each trial), so a caller that had to build one to
+/// learn its class does not build it twice.
 std::unique_ptr<BatchStream> make_batch_stream(
     std::unique_ptr<BatchAlgorithm> algorithm, AdversaryFactory adversary,
-    const BatchConfig& config);
+    const BatchConfig& config, std::unique_ptr<Adversary> pooled = nullptr);
 
 }  // namespace rts::sim

@@ -7,10 +7,13 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "exec/backend.hpp"
@@ -40,8 +43,32 @@ struct BuiltLe {
   bool abortable = false;
 };
 
-/// Builds a leader-election instance sized for up to `n` processes.
-using LeBuilder = std::function<BuiltLe(Kernel&, int n)>;
+class BatchAlgorithm;  // sim/batch.hpp
+
+/// Builds a leader-election instance sized for up to `n` processes, and,
+/// for an algorithm with a step machine (sim/batch.hpp), that machine.
+/// Converts implicitly from any callable of the build function's signature,
+/// so a bare lambda is a builder without a machine.
+struct LeBuilder {
+  using Build = std::function<BuiltLe(Kernel&, int n)>;
+  /// The machine for `n` processes with `k` participants (pids 0..k-1).
+  using Machine =
+      std::function<std::unique_ptr<BatchAlgorithm>(int n, int k)>;
+
+  Build build;
+  /// Empty when the algorithm has no machine.  Where set, the machine's
+  /// trials are byte-identical to build's on the fiber kernel, so
+  /// exec::TrialWorkspace::run_le_trial_summary may run either.
+  Machine machine;
+
+  LeBuilder() = default;
+  template <class F>
+    requires(!std::same_as<std::remove_cvref_t<F>, LeBuilder> &&
+             std::is_invocable_r_v<BuiltLe, F&, Kernel&, int>)
+  LeBuilder(F&& f) : build(std::forward<F>(f)) {}
+
+  BuiltLe operator()(Kernel& kernel, int n) const { return build(kernel, n); }
+};
 
 /// Creates a fresh adversary for a trial with the given seed.
 using AdversaryFactory =

@@ -249,10 +249,13 @@ TEST(BatchInvariance, BlocksAreAPureFunctionOfTheirTrialRange) {
 }
 
 TEST(BatchInvariance, DirectToSummaryMatchesTheComposedScalarPath) {
-  // exec::TrialWorkspace::run_le_trial_summary is the executor's scalar
-  // fold: it must equal summarize_trial(run_le_trial(...)) byte for byte,
-  // including the first-violation strings (abortable cells) and the RMR
-  // tallies (armed models), without materializing LeRunResult.
+  // exec::TrialWorkspace::run_le_trial_summary's fiber path folds the
+  // kernel straight into the summary: it must equal
+  // summarize_trial(run_le_trial(...)) byte for byte, including the
+  // first-violation strings (abortable cells) and the RMR tallies (armed
+  // models), without materializing LeRunResult.  Each builder is stripped
+  // of its machine, so the logstar cell pins that fold too instead of the
+  // step machines (test_workspace covers the routed cells).
   struct Cell {
     algo::AlgorithmId algorithm;
     algo::AdversaryId adversary;
@@ -276,7 +279,8 @@ TEST(BatchInvariance, DirectToSummaryMatchesTheComposedScalarPath) {
   for (const Cell& cell : cells) {
     sim::Kernel::Options options;
     options.rmr_model = cell.rmr;
-    const sim::LeBuilder builder = algo::sim_builder(cell.algorithm);
+    sim::LeBuilder builder = algo::sim_builder(cell.algorithm);
+    builder.machine = nullptr;
     const sim::AdversaryFactory factory =
         algo::adversary_factory(cell.adversary);
     exec::TrialWorkspace composed;

@@ -1,11 +1,16 @@
 // Tests for the Section-4 combiner: step interleaving via nested fibers,
 // the three combination rules, correctness sweeps over both wrapped
-// algorithms, and the regression showing why rule 3 exists.
+// algorithms, the regression showing why rule 3 exists, and the one
+// showing why entering an elimination path must count for it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "algo/batch.hpp"
 #include "algo/cascade.hpp"
 #include "algo/chain.hpp"
 #include "algo/combined.hpp"
@@ -217,6 +222,81 @@ TEST(Combined, Rule3RemovalAdmitsWinnerlessRuns) {
   }
   EXPECT_GT(winnerless, 0)
       << "dropping rule 3 should admit winnerless executions";
+}
+
+TEST(Combined, ElimPathEntrantsStayCommittedToRatRace) {
+  // Rule 3 on RatRacePath: a process that entered an elimination path may
+  // already have sent another entrant Left (out of RatRace, by rule 2), so
+  // losing A must not let it leave too.  These three trials elected nobody
+  // when only a splitter win committed a process: at k=2 both pids fall off
+  // leaf 1 into path 1, pid 0 loses A inside SP_0 and leaves, and pid 1
+  // then goes Left at SP_0.
+  struct Repro {
+    AlgorithmId algorithm;
+    int k;
+    int trial;
+    std::uint64_t seed0;
+  };
+  const Repro repros[] = {
+      {AlgorithmId::kCombinedLogStar, 2, 118, 99},
+      {AlgorithmId::kCombinedSift, 2, 222, 99},
+      {AlgorithmId::kCombinedSift, 64, 107, 6355381293330974663ULL},
+  };
+  const sim::AdversaryFactory random =
+      adversary_factory(AdversaryId::kUniformRandom);
+  for (const Repro& repro : repros) {
+    const std::string label = std::string(info(repro.algorithm).name) +
+                              " k=" + std::to_string(repro.k) + " trial " +
+                              std::to_string(repro.trial);
+    const sim::LeRunResult fiber =
+        sim::run_le_trial(sim_builder(repro.algorithm), repro.k, repro.k,
+                          random, repro.trial, repro.seed0);
+    EXPECT_EQ(fiber.winners, 1) << label;
+    EXPECT_TRUE(fiber.violations.empty()) << label;
+    const auto machine = make_batch_stream(
+        repro.algorithm, AdversaryId::kUniformRandom, repro.k, repro.k,
+        /*lanes=*/1, repro.seed0, /*step_limit=*/10'000'000);
+    ASSERT_NE(machine, nullptr) << label;
+    exec::TrialSummary summary;
+    machine->run_block(repro.trial, 1, &summary);
+    EXPECT_TRUE(summary.completed) << label;
+    EXPECT_EQ(summary.first_violation, "") << label;
+  }
+
+  // Low contention is where the hole showed (about 0.4% of k=2 trials under
+  // the random scheduler), so sweep it on the machines.
+  constexpr int kTrials = 3000;
+  constexpr int kBlock = sim::kMaxBatchLanes;
+  std::vector<exec::TrialSummary> block(kBlock);
+  for (const AlgorithmId algorithm :
+       {AlgorithmId::kCombinedLogStar, AlgorithmId::kCombinedSift}) {
+    for (const AdversaryId adversary :
+         {AdversaryId::kUniformRandom, AdversaryId::kCrashAfterOps,
+          AdversaryId::kAbortAfterOps}) {
+      for (const int k : {2, 3, 4, 5, 8}) {
+        const auto stream = make_batch_stream(algorithm, adversary, k, k,
+                                              kBlock, /*seed0=*/4242,
+                                              /*step_limit=*/10'000'000);
+        ASSERT_NE(stream, nullptr);
+        int violations = 0;
+        std::string first;
+        for (int base = 0; base < kTrials; base += kBlock) {
+          const int count = std::min(kBlock, kTrials - base);
+          stream->run_block(base, count, block.data());
+          for (int i = 0; i < count; ++i) {
+            const std::string& v =
+                block[static_cast<std::size_t>(i)].first_violation;
+            if (v.empty()) continue;
+            if (violations++ == 0) first = v + " (trial " +
+                                           std::to_string(base + i) + ")";
+          }
+        }
+        EXPECT_EQ(violations, 0)
+            << info(algorithm).name << " x " << info(adversary).name
+            << " k=" << k << ": " << first;
+      }
+    }
+  }
 }
 
 TEST(Combined, AbandonedElectionsDoNotLeakChildStacks) {

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "algo/batch.hpp"
 #include "algo/registry.hpp"
 #include "campaign/executor.hpp"
 #include "exec/workspace.hpp"
@@ -24,6 +26,11 @@ namespace {
 
 void expect_same_summary(const TrialSummary& fresh, const TrialSummary& pooled,
                          const std::string& label) {
+  std::string fresh_bytes;
+  std::string pooled_bytes;
+  append_trial_summary(fresh_bytes, fresh);
+  append_trial_summary(pooled_bytes, pooled);
+  EXPECT_EQ(fresh_bytes, pooled_bytes) << label;
   EXPECT_EQ(fresh.k, pooled.k) << label;
   EXPECT_EQ(fresh.max_steps, pooled.max_steps) << label;
   EXPECT_EQ(fresh.total_steps, pooled.total_steps) << label;
@@ -257,6 +264,194 @@ TEST(TrialWorkspace, CampaignExecutorPooledLanesMatchTheFreshPath) {
     }
     expect_same_aggregate(fresh_agg, cell.agg,
                           algo::info(cell.cell.algorithm).name);
+  }
+}
+
+// --- The engine choice in run_le_trial_summary ----------------------------
+
+std::vector<algo::AlgorithmId> machine_algorithms() {
+  std::vector<algo::AlgorithmId> out;
+  for (const algo::AlgoInfo& algorithm : algo::all_algorithms()) {
+    if (algo::supports(algorithm.id, Backend::kSim) &&
+        algo::sim_builder(algorithm.id).machine) {
+      out.push_back(algorithm.id);
+    }
+  }
+  return out;
+}
+
+TEST(TrialWorkspace, SummaryRunsEligibleCellsOnTheMachinesWithoutFibers) {
+  // Every machine algorithm x oblivious scheduler, at k = 1, 2 and 65 (past
+  // a 64-pid word), under a step limit that starves the k = 65 trials: the
+  // routed summaries equal the fresh fiber path byte for byte, and no
+  // stream maps a single fiber stack.
+  const algo::AdversaryId schedulers[] = {
+      algo::AdversaryId::kUniformRandom, algo::AdversaryId::kRoundRobin,
+      algo::AdversaryId::kSequential, algo::AdversaryId::kCrashAfterOps,
+      algo::AdversaryId::kAbortAfterOps};
+  const std::vector<algo::AlgorithmId> algorithms = machine_algorithms();
+  ASSERT_EQ(algorithms.size(), 6u);
+  constexpr int kTrials = 3;
+  constexpr std::uint64_t kSeed0 = 61;
+  sim::Kernel::Options options;
+  options.step_limit = 90;
+
+  struct Cell {
+    algo::AlgorithmId algorithm;
+    algo::AdversaryId adversary;
+    int k;
+  };
+  std::vector<Cell> cells;
+  for (const algo::AlgorithmId algorithm : algorithms) {
+    for (const algo::AdversaryId adversary : schedulers) {
+      for (const int k : {1, 2, 65}) cells.push_back({algorithm, adversary, k});
+    }
+  }
+
+  // The workspace first, so the fresh path's stacks cannot hide a mapping.
+  TrialWorkspace workspace;
+  std::vector<TrialSummary> routed;
+  const std::size_t stacks_before = fiber::live_stack_count();
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const sim::LeBuilder builder = algo::sim_builder(cells[c].algorithm);
+    const sim::AdversaryFactory factory =
+        algo::adversary_factory(cells[c].adversary);
+    for (int t = 0; t < kTrials; ++t) {
+      routed.push_back(workspace.run_le_trial_summary(
+          c, builder, cells[c].k, cells[c].k, factory, t, kSeed0, options));
+    }
+  }
+  EXPECT_EQ(fiber::live_stack_count(), stacks_before);
+  EXPECT_EQ(workspace.trials_run(), cells.size() * kTrials);
+  EXPECT_EQ(workspace.stream_builds(), cells.size());
+  EXPECT_EQ(workspace.adversary_builds(), cells.size());
+
+  int starved = 0;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const sim::LeBuilder builder = algo::sim_builder(cells[c].algorithm);
+    const sim::AdversaryFactory factory =
+        algo::adversary_factory(cells[c].adversary);
+    for (int t = 0; t < kTrials; ++t) {
+      const TrialSummary fresh = sim::summarize_trial(sim::run_le_trial(
+          builder, cells[c].k, cells[c].k, factory, t, kSeed0, options));
+      starved += fresh.completed ? 0 : 1;
+      expect_same_summary(
+          fresh, routed[c * kTrials + static_cast<std::size_t>(t)],
+          std::string(algo::info(cells[c].algorithm).name) + " x " +
+              algo::info(cells[c].adversary).name +
+              " k=" + std::to_string(cells[c].k) + " trial " +
+              std::to_string(t));
+    }
+  }
+  EXPECT_GT(starved, 0);
+}
+
+TEST(TrialWorkspace, SummaryKeepsIneligibleCellsOnTheFiberKernel) {
+  // An adaptive scheduler, an armed RMR model and a builder without its
+  // machine each keep the fiber kernel, and still equal the fresh path.
+  const sim::AdversaryFactory random =
+      algo::adversary_factory(algo::AdversaryId::kUniformRandom);
+  sim::LeBuilder stripped = algo::sim_builder(algo::AlgorithmId::kSiftCascade);
+  stripped.machine = nullptr;
+  sim::Kernel::Options cc;
+  cc.rmr_model = rmr::RmrModel::kCC;
+  struct Cell {
+    const char* label;
+    sim::LeBuilder builder;
+    sim::AdversaryFactory factory;
+    sim::Kernel::Options options;
+  };
+  const Cell cells[] = {
+      {"logstar x attack-ge", algo::sim_builder(algo::AlgorithmId::kLogStarChain),
+       algo::adversary_factory(algo::AdversaryId::kGeNeutralizer), {}},
+      {"ratrace-path x random, cc",
+       algo::sim_builder(algo::AlgorithmId::kRatRacePath), random, cc},
+      {"cascade without its machine", stripped, random, {}},
+  };
+  for (const Cell& cell : cells) {
+    TrialWorkspace workspace;
+    for (int t = 0; t < 4; ++t) {
+      const TrialSummary fresh = sim::summarize_trial(
+          sim::run_le_trial(cell.builder, 8, 8, cell.factory, t, 5,
+                            cell.options));
+      const TrialSummary routed = workspace.run_le_trial_summary(
+          0, cell.builder, 8, 8, cell.factory, t, 5, cell.options);
+      expect_same_summary(fresh, routed,
+                          std::string(cell.label) + " trial " +
+                              std::to_string(t));
+      // The machines charge no RMR; only the kernel can match this.
+      if (cell.options.rmr_model != rmr::RmrModel::kNone) {
+        EXPECT_GT(routed.rmr_total, 0u) << cell.label;
+      }
+    }
+    EXPECT_EQ(workspace.stream_builds(), 1u) << cell.label;
+    EXPECT_EQ(workspace.adversary_builds(), 1u) << cell.label;
+  }
+}
+
+TEST(TrialWorkspace, MachineStreamsShareTheLruAndRebuildOnANewSeedStream) {
+  TrialWorkspace::Options options;
+  options.max_prepared = 2;
+  TrialWorkspace workspace(options);
+  const sim::LeBuilder builder =
+      algo::sim_builder(algo::AlgorithmId::kCombinedSift);
+  const sim::AdversaryFactory factory =
+      algo::adversary_factory(algo::AdversaryId::kCrashAfterOps);
+  for (std::uint64_t key = 0; key < 4; ++key) {
+    workspace.run_le_trial_summary(key, builder, 5, 5, factory, 0, key);
+  }
+  EXPECT_EQ(workspace.prepared_streams(), 2u);
+  EXPECT_EQ(workspace.stream_builds(), 4u);
+  EXPECT_EQ(workspace.adversary_builds(), 4u);
+  EXPECT_EQ(workspace.trials_run(), 4u);
+
+  // Key 3 again, with a new seed stream, then a new shape: each rebuilds.
+  for (const auto& [k, seed0] : {std::pair{5, 77}, std::pair{6, 77}}) {
+    const TrialSummary fresh = sim::summarize_trial(
+        sim::run_le_trial(builder, k, k, factory, /*trial=*/2, seed0));
+    const TrialSummary routed =
+        workspace.run_le_trial_summary(3, builder, k, k, factory, 2, seed0);
+    expect_same_summary(fresh, routed, "recycled key, k=" + std::to_string(k));
+  }
+  EXPECT_EQ(workspace.stream_builds(), 6u);
+
+  // A fiber-only call on a machine stream's key rebuilds it on fibers; the
+  // summary call then keeps that fiber stream.
+  const TrialSummary fresh = sim::summarize_trial(
+      sim::run_le_trial(builder, 6, 6, factory, /*trial=*/3, 77));
+  expect_same_summary(fresh,
+                      sim::summarize_trial(workspace.run_le_trial(
+                          3, builder, 6, 6, factory, 3, 77)),
+                      "fiber call on a machine key");
+  expect_same_summary(
+      fresh, workspace.run_le_trial_summary(3, builder, 6, 6, factory, 3, 77),
+      "summary call on the rebuilt fiber stream");
+  EXPECT_EQ(workspace.stream_builds(), 7u);
+}
+
+TEST(TrialWorkspace, SummaryAndLaneBlocksShareAKey) {
+  // The call pattern of the benchmark's cross-check: one workspace and key
+  // serve a routed summary trial and then a 32-trial block of the same
+  // cell.  The routed streams live apart from the block cache, so this
+  // neither throws nor disagrees.
+  constexpr int kLanes = 32;
+  constexpr int kCellTrials = 40;
+  const algo::AlgorithmId algorithm = algo::AlgorithmId::kRatRacePath;
+  const algo::AdversaryId adversary = algo::AdversaryId::kUniformRandom;
+  const sim::LeBuilder builder = algo::sim_builder(algorithm);
+  const sim::AdversaryFactory factory = algo::adversary_factory(adversary);
+  TrialWorkspace workspace;
+  for (const int trial : {17, kCellTrials - 1}) {
+    const TrialSummary routed = workspace.run_le_trial_summary(
+        9, builder, 64, 64, factory, trial, 123);
+    const TrialSummary batched = workspace.run_le_batch_trial(
+        9,
+        [&] {
+          return algo::make_batch_stream(algorithm, adversary, 64, 64, kLanes,
+                                         123, sim::Kernel::Options{}.step_limit);
+        },
+        kLanes, trial, kCellTrials);
+    expect_same_summary(routed, batched, "trial " + std::to_string(trial));
   }
 }
 
